@@ -47,6 +47,7 @@ class MetricList {
   void add(std::string name, double value, std::string unit) {
     items_.push_back({std::move(name), value, std::move(unit)});
   }
+  void add(const Metric& metric) { items_.push_back(metric); }
   [[nodiscard]] const std::vector<Metric>& items() const noexcept { return items_; }
   /// Value of `name`; throws std::out_of_range when absent.
   [[nodiscard]] double value(const std::string& name) const;

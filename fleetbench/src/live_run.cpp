@@ -367,7 +367,7 @@ LiveResult run_live(const LiveConfig& config, const FleetInputs& inputs,
       ++out.frames_sent;
       if (st.callback == 0 || !st.payload_ok) ++out.frames_failed;
       if (st.callback != 0 && !st.payload_ok) ++out.payload_mismatches;
-      if (config.paced ? in_win(st.due) : in_win(st.callback)) ++out.window_frames;
+      if (in_win(st.callback)) ++out.window_frames;
       if (!in_win(st.due) || st.callback == 0) continue;
       ++out.distinct_sent[inputs.frame(s, t).distinct];
       out.lag_ms.push_back(static_cast<double>(st.submit_begin - st.due) / 1e6);

@@ -40,7 +40,7 @@ struct LiveResult {
   std::vector<double> frame_ms;     ///< due -> result callback
   std::vector<double> frame_due_s;  ///< due time of frame_ms[i], from window start
   std::vector<double> ack_ms;    ///< due of the triggering frame -> ack applied
-  std::uint64_t window_frames{0};  ///< frames the rate and CPU figures divide by
+  std::uint64_t window_frames{0};  ///< frames delivered in the window
   double window_s{0.0};            ///< measured length of the timed window
   double cpu_s{0.0};               ///< process user+sys over the window
   double inputs_per_sec{0.0};      ///< observations + fleet events consumed / s
@@ -106,10 +106,11 @@ struct Recording {
 
 /// Fastest of `reps` set-ups: canonical database build plus construction of
 /// the wired service stack over `cells` orchard cells (each stack is torn
-/// down untimed). The fastest, not the median: on the shared host the
-/// single-thread build runs in two speed modes (about 6.3 and 9.8 ms, in
-/// thread CPU time as much as in wall time) that alternate within one
-/// process, so the median flips between them from run to run.
+/// down untimed). The fastest, not the median: on a shared host the
+/// single-thread build runs in fast and slow periods (about 7 and 12 ms, in
+/// thread CPU time as much as in wall time) that last about 0.5-1 s each,
+/// so the median follows how much of the run fell in slow periods. Enough
+/// reps to span a few seconds nearly always include a fast period.
 [[nodiscard]] double measure_setup_s(std::size_t shards, std::size_t cells, int reps);
 
 /// Checks the grant log of a finalized journal: no grant may be accepted

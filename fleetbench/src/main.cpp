@@ -36,7 +36,6 @@
 #include "layer_probes.hpp"
 #include "live_run.hpp"
 #include "protocol/replay_driver.hpp"
-#include "protocol/wire.hpp"
 
 namespace {
 
@@ -51,7 +50,7 @@ constexpr double kWarmupS = 2.0;
 /// Journal of the replay workload: kReplaySlots slots x kReplayRounds pairs.
 constexpr std::size_t kReplaySlots = 12;
 constexpr std::size_t kReplayRounds = 3;
-constexpr int kSetupReps = 41;
+constexpr int kSetupReps = 150;
 /// Upper bound on closed-loop throughput used only to size the fleet; a
 /// host faster than this runs out of pairs and fails loudly.
 constexpr double kBurstSizingFps = 6000.0;
@@ -61,23 +60,6 @@ constexpr double kBurstSizingFps = 6000.0;
 constexpr double kSubWindowS = 3.0;
 /// p99 frame latency limit that defines the load sweep's knee.
 constexpr double kKneeP99LimitMs = 50.0;
-
-/// Figures measured on every run, printed to stderr, and reported as
-/// ungated per-layer metrics (second name) by traced runs. They are not
-/// end-to-end gates: co-tenant load on the shared host moves them by more
-/// than the largest bound a gate may claim (see README.md).
-const std::vector<std::pair<std::string, std::string>> kFigures = {
-    {"frame_p50_ms", "latency.frame_p50_ms"},
-    {"frame_p99_ms", "latency.frame_p99_ms"},
-    {"ack_p50_ms", "latency.ack_p50_ms"},
-    {"ack_p90_ms", "latency.ack_p90_ms"},
-    {"wall_inputs_per_sec", "replay.wall_inputs_per_sec"}};
-
-/// The figures whose tracing overhead a traced run reports (set-up is never
-/// traced and RSS is process-wide, see README.md).
-const std::vector<std::string> kTimedMetrics = {
-    "frame_p50_ms",   "frame_p99_ms",     "ack_p50_ms",            "ack_p90_ms",
-    "frames_per_sec", "cpu_ms_per_frame", "replay_inputs_per_sec", "wall_inputs_per_sec"};
 
 struct Args {
   std::string workload;
@@ -101,35 +83,22 @@ struct Report {
   }
 };
 
-const std::string* figure_layer_name(const std::string& name) {
-  for (const auto& [figure, layer] : kFigures) {
-    if (figure == name) return &layer;
-  }
-  return nullptr;
-}
+/// A run's end-to-end readings. `gated` are the end-to-end metrics that
+/// --trace 0 prints. `figures` are measured on every run and noted on
+/// stderr, and traced runs report them as per-layer metrics; they are not
+/// gates, because co-tenant load on the shared host moves them by more
+/// than the largest bound a gate may claim (see README.md).
+struct EndToEnd {
+  MetricList gated;
+  MetricList figures;
+};
 
-/// The gated end-to-end metrics of a run (its figures minus the ungated
-/// ones), after noting the ungated figures on stderr.
-MetricList gated(const MetricList& figures) {
-  MetricList m;
+void note_figures(const EndToEnd& e2e) {
   std::cerr << "  figures:";
-  for (const Metric& metric : figures.items()) {
-    if (figure_layer_name(metric.name) != nullptr) {
-      std::cerr << " " << metric.name << " " << metric.value;
-    } else {
-      m.add(metric.name, metric.value, metric.unit);
-    }
+  for (const Metric& metric : e2e.figures.items()) {
+    std::cerr << " " << metric.name << " " << metric.value;
   }
   std::cerr << "\n";
-  return m;
-}
-
-void add_figures(MetricList& m, const MetricList& figures) {
-  for (const Metric& metric : figures.items()) {
-    if (const std::string* layer = figure_layer_name(metric.name)) {
-      m.add(*layer, metric.value, metric.unit);
-    }
-  }
 }
 
 std::size_t shard_count() {
@@ -155,49 +124,30 @@ std::size_t pairs_for(const LiveConfig& config) {
   return config.slots + static_cast<std::size_t>(kBurstSizingFps * span_s / (2 * ticks));
 }
 
-/// FNV-1a 64 over the journal's records grouped by record type (stable
-/// within a type). The dialogue and coordination workers append
-/// concurrently, so the interleaving of types varies from run to run, but
-/// each type's sequence -- what ReplayDriver feeds and compares -- is a
-/// function of the seed: one seed must always print the same digest.
-std::uint64_t per_type_digest(const std::vector<std::uint8_t>& journal) {
-  std::vector<hdc::protocol::wire::AnyRecord> records;
-  hdc::protocol::wire::WireError error;
-  if (!hdc::protocol::wire::parse_all(journal, records, error)) return 0;
-  std::stable_sort(records.begin(), records.end(), [](const auto& a, const auto& b) {
-    return hdc::protocol::wire::record_type(a) < hdc::protocol::wire::record_type(b);
-  });
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const auto& record : records) {
-    for (const std::uint8_t byte : hdc::protocol::wire::encode_one(record)) {
-      hash = (hash ^ byte) * 0x100000001b3ULL;
-    }
-  }
-  return hash;
-}
-
 double frac_ok(std::uint64_t failed, std::uint64_t total) {
   return total == 0 ? 0.0 : 1.0 - static_cast<double>(failed) / static_cast<double>(total);
 }
 
-MetricList live_e2e(const LiveResult& r, double setup_s) {
-  MetricList m;
+EndToEnd live_e2e(const LiveResult& r, double setup_s) {
+  EndToEnd e2e;
+  MetricList& m = e2e.gated;
   const double frames = static_cast<double>(std::max<std::uint64_t>(1, r.window_frames));
-  m.add("frame_p50_ms", windowed_percentile(r.frame_ms, r.frame_due_s, kSubWindowS, 50.0),
-        "ms");
-  m.add("frame_p99_ms", windowed_percentile(r.frame_ms, r.frame_due_s, kSubWindowS, 99.0),
-        "ms");
-  m.add("ack_p50_ms", median(r.ack_ms), "ms");
-  m.add("ack_p90_ms", percentile(r.ack_ms, 90.0), "ms");
   m.add("frames_per_sec", frames / r.window_s, "frames/s");
   m.add("cpu_ms_per_frame", r.cpu_s * 1e3 / frames, "ms");
   m.add("replay_inputs_per_sec", r.inputs_per_sec, "1/s");
-  m.add("wall_inputs_per_sec", r.inputs_per_sec, "1/s");
   m.add("frame_ok_frac", frac_ok(r.frames_failed, r.frames_sent), "ratio");
   m.add("dialogue_ok_frac", frac_ok(r.dialogues_failed, r.dialogues), "ratio");
   m.add("setup_s", setup_s, "s");
   m.add("peak_rss_mb", r.peak_rss_mb, "MB");
-  return m;
+  MetricList& f = e2e.figures;
+  f.add("latency.frame_p50_ms",
+        windowed_percentile(r.frame_ms, r.frame_due_s, kSubWindowS, 50.0), "ms");
+  f.add("latency.frame_p99_ms",
+        windowed_percentile(r.frame_ms, r.frame_due_s, kSubWindowS, 99.0), "ms");
+  f.add("latency.ack_p50_ms", median(r.ack_ms), "ms");
+  f.add("latency.ack_p90_ms", percentile(r.ack_ms, 90.0), "ms");
+  f.add("replay.wall_inputs_per_sec", r.inputs_per_sec, "1/s");
+  return e2e;
 }
 
 void note_live(const char* label, const LiveResult& r) {
@@ -267,10 +217,17 @@ void check_stage_sum(Report& report, const StageProbe& stages) {
   }
 }
 
-void add_overhead(MetricList& m, const MetricList& untraced, const MetricList& traced,
+/// overhead.<name> = traced / untraced - 1 for the timed gates and every
+/// figure (set-up is never traced and RSS is process-wide, see README.md).
+void add_overhead(MetricList& m, const EndToEnd& untraced, const EndToEnd& traced,
                   const SpanLog& spans) {
-  for (const std::string& name : kTimedMetrics) {
-    m.add("overhead." + name, traced.value(name) / untraced.value(name) - 1.0, "ratio");
+  for (const char* name : {"frames_per_sec", "cpu_ms_per_frame", "replay_inputs_per_sec"}) {
+    m.add(std::string("overhead.") + name,
+          traced.gated.value(name) / untraced.gated.value(name) - 1.0, "ratio");
+  }
+  for (const Metric& figure : untraced.figures.items()) {
+    m.add("overhead." + figure.name.substr(figure.name.find('.') + 1),
+          traced.figures.value(figure.name) / figure.value - 1.0, "ratio");
   }
   m.add("trace.span_mb", static_cast<double>(spans.bytes()) / (1024.0 * 1024.0), "MB");
 }
@@ -313,13 +270,14 @@ Report run_live_workload(const Args& args, bool paced) {
 
   const LiveResult untraced = run_live(config, inputs, reference, nullptr);
   note_live("untraced", untraced);
-  const MetricList e2e = live_e2e(untraced, setup_s);
-  const MetricList gates = gated(e2e);
+  if (!untraced.correct) report.fail(untraced.failure);
+  const EndToEnd e2e = live_e2e(untraced, setup_s);
+  note_figures(e2e);
   if (untraced.dialogues == 0) report.fail("no contention pair was sent in full; raise --seconds");
   report.attempted = untraced.frames_sent + untraced.dialogues;
   report.failed = untraced.frames_failed + untraced.dialogues_failed;
   if (!args.trace) {
-    report.metrics = gates;
+    report.metrics = e2e.gated;
     return report;
   }
 
@@ -333,7 +291,7 @@ Report run_live_workload(const Args& args, bool paced) {
   if (!journal.failure.empty()) report.fail(journal.failure);
   add_probe_layers(report.metrics, stages, journal, traced.journal.size());
   add_live_layers(report.metrics, traced, config.seconds);
-  add_figures(report.metrics, e2e);
+  for (const Metric& figure : e2e.figures.items()) report.metrics.add(figure);
   check_stage_sum(report, stages);
   add_overhead(report.metrics, e2e, live_e2e(traced, setup_s), spans);
   write_spans(args, spans, report);
@@ -382,33 +340,36 @@ ReplayLoop replay_loop(const std::vector<std::uint8_t>& journal, double seconds,
   return loop;
 }
 
-MetricList replay_e2e(const ReplayLoop& loop, const JournalProbe& counts,
-                      const Recording& recording, double setup_s) {
-  MetricList m;
+EndToEnd replay_e2e(const ReplayLoop& loop, const JournalProbe& counts,
+                    const Recording& recording, double setup_s) {
+  EndToEnd e2e;
+  MetricList& m = e2e.gated;
   double total_s = 0.0;
   for (const double s : loop.pass_s) total_s += s;
   const double passes = static_cast<double>(loop.pass_s.size());
   const double frames = static_cast<double>(counts.frames);
   const double acks = static_cast<double>(counts.transitions);
-  m.add("frame_p50_ms", median(loop.pass_s) * 1e3 / frames, "ms");
-  m.add("frame_p99_ms", percentile(loop.pass_s, 99.0) * 1e3 / frames, "ms");
-  m.add("ack_p50_ms", median(loop.pass_s) * 1e3 / acks, "ms");
-  m.add("ack_p90_ms", percentile(loop.pass_s, 90.0) * 1e3 / acks, "ms");
   // A replay's wall time is dominated by wake-ups between the feeding
   // thread and the workers, which co-tenant load slows by up to 2x; its
   // CPU time is steady. The gated rates are therefore per CPU-second of
-  // the replay loop, and the wall rate is an ungated figure.
+  // the replay loop (all three are one reading, rescaled), and the wall
+  // rate is an ungated figure.
   const double inputs = static_cast<double>(loop.inputs);
   m.add("frames_per_sec", frames * passes / loop.cpu_s, "frames/s");
   m.add("cpu_ms_per_frame", loop.cpu_s * 1e3 / (frames * passes), "ms");
   m.add("replay_inputs_per_sec", inputs / loop.cpu_s, "1/s");
-  m.add("wall_inputs_per_sec", inputs / total_s, "1/s");
   m.add("frame_ok_frac", frac_ok(loop.passes_failed, loop.pass_s.size()), "ratio");
   m.add("dialogue_ok_frac", frac_ok(recording.dialogues_failed, recording.dialogues),
         "ratio");
   m.add("setup_s", setup_s, "s");
   m.add("peak_rss_mb", peak_rss_mb(), "MB");
-  return m;
+  MetricList& f = e2e.figures;
+  f.add("latency.frame_p50_ms", median(loop.pass_s) * 1e3 / frames, "ms");
+  f.add("latency.frame_p99_ms", percentile(loop.pass_s, 99.0) * 1e3 / frames, "ms");
+  f.add("latency.ack_p50_ms", median(loop.pass_s) * 1e3 / acks, "ms");
+  f.add("latency.ack_p90_ms", percentile(loop.pass_s, 90.0) * 1e3 / acks, "ms");
+  f.add("replay.wall_inputs_per_sec", inputs / total_s, "1/s");
+  return e2e;
 }
 
 Report run_replay_workload(const Args& args) {
@@ -426,8 +387,7 @@ Report run_replay_workload(const Args& args) {
   std::cerr << args.workload << ": journal of " << pairs << " contention pairs, "
             << counts.records << " records (" << counts.observations
             << " observations, " << counts.fleet_events << " fleet events), "
-            << recording.journal.size() << " bytes, per-type FNV-1a " << std::hex
-            << per_type_digest(recording.journal) << std::dec << "; dialogues missed "
+            << recording.journal.size() << " bytes; dialogues missed "
             << recording.dialogues_failed << " of " << recording.dialogues
             << "; arbitration race: " << recording.granted_granted_pairs << " pairs\n";
   std::uint64_t conflicts = 0;
@@ -438,12 +398,12 @@ Report run_replay_workload(const Args& args) {
   const ReplayLoop untraced = replay_loop(recording.journal, args.seconds, nullptr);
   std::cerr << "  untraced: " << untraced.pass_s.size() << " replay passes\n";
   if (!untraced.failure.empty()) report.fail(untraced.failure);
-  const MetricList e2e = replay_e2e(untraced, counts, recording, setup_s);
-  const MetricList gates = gated(e2e);
+  const EndToEnd e2e = replay_e2e(untraced, counts, recording, setup_s);
+  note_figures(e2e);
   report.attempted = untraced.pass_s.size() + recording.dialogues;
   report.failed = untraced.passes_failed + recording.dialogues_failed;
   if (!args.trace) {
-    report.metrics = gates;
+    report.metrics = e2e.gated;
     return report;
   }
 
@@ -467,7 +427,7 @@ Report run_replay_workload(const Args& args) {
   note_live("companion closed-loop", companion);
   if (!companion.correct) report.fail(companion.failure);
   add_live_layers(report.metrics, companion, live.seconds);
-  add_figures(report.metrics, e2e);
+  for (const Metric& figure : e2e.figures.items()) report.metrics.add(figure);
   check_stage_sum(report, stages);
   add_overhead(report.metrics, e2e, replay_e2e(traced, counts, recording, setup_s), spans);
   write_spans(args, spans, report);
@@ -507,14 +467,14 @@ int run_sweep(const Args& args) {
     for (int rep = 0; rep < kSweepReps; ++rep) {
       config.seed = args.seed + static_cast<std::uint64_t>(rep);
       const LiveResult r = run_live(config, inputs, reference, nullptr);
-      const MetricList m = live_e2e(r, 0.0);
-      delivered.push_back(m.value("frames_per_sec"));
-      p50.push_back(m.value("frame_p50_ms"));
-      p99.push_back(m.value("frame_p99_ms"));
-      ack50.push_back(m.value("ack_p50_ms"));
-      ack90.push_back(m.value("ack_p90_ms"));
+      const EndToEnd e2e = live_e2e(r, 0.0);
+      delivered.push_back(e2e.gated.value("frames_per_sec"));
+      p50.push_back(e2e.figures.value("latency.frame_p50_ms"));
+      p99.push_back(e2e.figures.value("latency.frame_p99_ms"));
+      ack50.push_back(e2e.figures.value("latency.ack_p50_ms"));
+      ack90.push_back(e2e.figures.value("latency.ack_p90_ms"));
       lag.push_back(percentile(r.lag_ms, 99.0));
-      cpu.push_back(m.value("cpu_ms_per_frame"));
+      cpu.push_back(e2e.gated.value("cpu_ms_per_frame"));
       valid += r.correct ? 1 : 0;
     }
     const auto range = [](const std::vector<double>& v) {
