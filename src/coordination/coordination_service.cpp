@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/span.hpp"
@@ -132,16 +133,21 @@ void CoordinationService::admit(FleetEvent event) {
 }
 
 void CoordinationService::worker_loop() {
-  FleetEvent event;
-  while (ring_.pop(event)) {
-    queue_depth_.add(-1);
-    flush_pending_aborts();
-    try {
-      process(event);
-    } catch (...) {
-      pending_.record_error(std::current_exception());
+  // One batch per ring lock; events are still processed one at a time in
+  // FIFO order, each after a retry of the deferred aborts, and the gauge
+  // and pending count settle once per batch.
+  std::vector<FleetEvent> batch(ring_.capacity());
+  while (const std::size_t n = ring_.pop_batch(batch.data(), batch.size())) {
+    queue_depth_.add(-static_cast<std::int64_t>(n));
+    for (std::size_t k = 0; k < n; ++k) {
+      flush_pending_aborts();
+      try {
+        process(batch[k]);
+      } catch (...) {
+        pending_.record_error(std::current_exception());
+      }
     }
-    pending_.finish(1);
+    pending_.finish(n);
   }
   flush_pending_aborts();
 }

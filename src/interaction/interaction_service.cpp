@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/span.hpp"
@@ -177,15 +178,19 @@ void InteractionService::admit(Observation observation) {
 }
 
 void InteractionService::worker_loop() {
-  Observation observation;
-  while (ring_.pop(observation)) {
-    queue_depth_.add(-1);
-    try {
-      process(observation);
-    } catch (...) {
-      pending_.record_error(std::current_exception());
+  // One batch per ring lock; items are still processed one at a time in
+  // FIFO order, and the gauge and pending count settle once per batch.
+  std::vector<Observation> batch(ring_.capacity());
+  while (const std::size_t n = ring_.pop_batch(batch.data(), batch.size())) {
+    queue_depth_.add(-static_cast<std::int64_t>(n));
+    for (std::size_t k = 0; k < n; ++k) {
+      try {
+        process(batch[k]);
+      } catch (...) {
+        pending_.record_error(std::current_exception());
+      }
     }
-    finish_observations(1);
+    finish_observations(n);
   }
 }
 

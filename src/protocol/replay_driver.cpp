@@ -1,8 +1,10 @@
 #include "protocol/replay_driver.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "protocol/journal.hpp"
 
@@ -10,29 +12,43 @@ namespace hdc::protocol {
 
 namespace {
 
-/// Records of one journal, bucketed by type (bucket order == append order,
-/// which per type is the single writer's deterministic order).
-struct Buckets {
-  std::array<std::vector<wire::AnyRecord>, 14> by_type;
+/// Each record's envelope bytes in one journal, grouped by record type
+/// (group order == append order, which per type is the single writer's
+/// deterministic order). Slot 0 stays empty: type ids start at 1.
+using EnvelopesByType = std::array<
+    std::vector<std::span<const std::uint8_t>>,
+    static_cast<std::size_t>(wire::RecordType::kMetricSnapshot) + 1>;
 
-  void add(wire::AnyRecord record) {
-    by_type[static_cast<std::size_t>(wire::record_type(record))].push_back(
-        std::move(record));
+/// Walks the envelope headers of `journal` without decoding payloads.
+/// False when a header declares a type or length the buffer cannot hold —
+/// the caller only walks journals whose envelopes already verified.
+bool group_envelopes(std::span<const std::uint8_t> journal,
+                     EnvelopesByType& out) {
+  std::size_t offset = 0;
+  while (offset < journal.size()) {
+    if (journal.size() - offset < wire::kEnvelopeHeaderSize) return false;
+    const std::uint8_t type = journal[offset + 2];
+    const std::size_t size =
+        wire::kEnvelopeHeaderSize +
+        (journal[offset + 3] | (std::size_t{journal[offset + 4]} << 8)) +
+        wire::kEnvelopeTrailerSize;
+    if (type == 0 || type >= out.size() || size > journal.size() - offset) {
+      return false;
+    }
+    out[type].push_back(journal.subspan(offset, size));
+    offset += size;
   }
-  [[nodiscard]] const std::vector<wire::AnyRecord>& of(
-      wire::RecordType type) const {
-    return by_type[static_cast<std::size_t>(type)];
-  }
-};
+  return true;
+}
 
-/// First per-type divergence between the recorded and replayed journals,
-/// or "" when they agree everywhere.
-std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
-  for (std::uint8_t t = static_cast<std::uint8_t>(wire::RecordType::kRunConfig);
-       t <= static_cast<std::uint8_t>(wire::RecordType::kMetricSnapshot); ++t) {
+/// First per-type divergence between the recorded and replayed journals'
+/// envelope bytes, or "" when every type agrees byte for byte.
+std::string first_mismatch(const EnvelopesByType& recorded,
+                           const EnvelopesByType& replayed) {
+  for (std::size_t t = 1; t < recorded.size(); ++t) {
     const auto type = static_cast<wire::RecordType>(t);
-    const std::vector<wire::AnyRecord>& a = recorded.of(type);
-    const std::vector<wire::AnyRecord>& b = replayed.of(type);
+    const std::vector<std::span<const std::uint8_t>>& a = recorded[t];
+    const std::vector<std::span<const std::uint8_t>>& b = replayed[t];
     if (a.size() != b.size()) {
       std::ostringstream out;
       out << wire::to_string(type) << " count diverged: recorded " << a.size()
@@ -40,7 +56,7 @@ std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
       return out.str();
     }
     for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) {
+      if (!std::ranges::equal(a[i], b[i])) {
         std::ostringstream out;
         out << wire::to_string(type) << " record " << i
             << " diverged between recording and replay";
@@ -92,11 +108,9 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   }
   report.parsed = true;
 
-  Buckets recorded;
-  for (wire::AnyRecord& record : records) recorded.add(std::move(record));
-
-  const auto& run_config =
-      std::get<wire::RunConfigRecord>(recorded.of(wire::RecordType::kRunConfig).front());
+  const auto& run_config = std::get<wire::RunConfigRecord>(records.front());
+  EnvelopesByType recorded;
+  (void)group_envelopes(journal, recorded);  // verified by parse_all above
 
   EventJournal replay_journal;
   JournalRecorder recorder(replay_journal);
@@ -108,7 +122,8 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   // one — appending a record the recording lacks would itself be a (false)
   // per-type divergence.
   telemetry::MetricsRegistry metrics;
-  if (!recorded.of(wire::RecordType::kMetricSnapshot).empty()) {
+  if (!recorded[static_cast<std::size_t>(wire::RecordType::kMetricSnapshot)]
+           .empty()) {
     recorder.set_metrics(&metrics);
   }
 
@@ -121,16 +136,16 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   dialogue_config.recorder = options_.recorder;
   interaction::InteractionService dialogue(dialogue_config, options_.grammar);
   recorder.attach_interaction(dialogue, nullptr);
-  for (const wire::AnyRecord& any :
-       recorded.of(wire::RecordType::kObservation)) {
-    const auto& observation = std::get<wire::ObservationRecord>(any);
-    if (observation.abort != 0) {
-      dialogue.abort_stream(observation.stream_id);
+  for (const wire::AnyRecord& any : records) {
+    const auto* observation = std::get_if<wire::ObservationRecord>(&any);
+    if (observation == nullptr) continue;
+    if (observation->abort != 0) {
+      dialogue.abort_stream(observation->stream_id);
     } else {
       dialogue.inject_observation(
-          observation.stream_id, observation.sequence,
-          static_cast<signs::HumanSign>(observation.sign),
-          observation.confidence);
+          observation->stream_id, observation->sequence,
+          static_cast<signs::HumanSign>(observation->sign),
+          observation->confidence);
     }
     ++report.observations_fed;
   }
@@ -144,10 +159,10 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   coordination_config.recorder = options_.recorder;
   coordination::CoordinationService coordinator(coordination_config);
   recorder.attach_coordination(coordinator);
-  for (const wire::AnyRecord& any :
-       recorded.of(wire::RecordType::kFleetEvent)) {
-    coordinator.admit_recorded(
-        from_wire(std::get<wire::FleetEventRecord>(any)));
+  for (const wire::AnyRecord& any : records) {
+    const auto* event = std::get_if<wire::FleetEventRecord>(&any);
+    if (event == nullptr) continue;
+    coordinator.admit_recorded(from_wire(*event));
     ++report.fleet_events_fed;
   }
   coordinator.drain();
@@ -155,25 +170,20 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
 
   // Finalize over the same stream ids the recording finalized over.
   std::vector<std::uint32_t> stream_ids;
-  for (const wire::AnyRecord& any :
-       recorded.of(wire::RecordType::kTranscriptDigest)) {
-    stream_ids.push_back(std::get<wire::TranscriptDigestRecord>(any).stream_id);
+  for (const wire::AnyRecord& any : records) {
+    if (const auto* digest = std::get_if<wire::TranscriptDigestRecord>(&any)) {
+      stream_ids.push_back(digest->stream_id);
+    }
   }
   recorder.finalize(dialogue, std::move(stream_ids), coordinator);
 
   report.journal_bytes = replay_journal.bytes();
 
-  Buckets replayed;
-  std::vector<wire::AnyRecord> replay_records;
-  wire::WireError replay_error;
-  if (!wire::parse_all(report.journal_bytes, replay_records, replay_error)) {
-    report.mismatch = "internal: replay journal failed to re-parse";
+  EnvelopesByType replayed;
+  if (!group_envelopes(report.journal_bytes, replayed)) {
+    report.mismatch = "internal: replay journal has a malformed envelope";
     return report;
   }
-  for (wire::AnyRecord& record : replay_records) {
-    replayed.add(std::move(record));
-  }
-
   report.mismatch = first_mismatch(recorded, replayed);
   report.ok = report.mismatch.empty();
   return report;

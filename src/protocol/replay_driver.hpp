@@ -19,7 +19,12 @@
 // journal are byte-identical — the CI determinism gate diffs exactly
 // that). Against the RECORDED journal, comparison is per record type,
 // because the live run's two workers interleave types nondeterministically
-// while each type has a single writer.
+// while each type has a single writer: for every type, the i-th envelope
+// of the recording and of the replay must be equal byte for byte (header,
+// payload and CRC). Encoding is canonical, so this is record equality
+// with doubles compared by bit pattern — a recorded -0.0 against a
+// replayed +0.0 diverges. The replay's own journal is never decoded; only
+// its envelope headers are walked.
 //
 // Any malformed journal — truncated, bit-flipped, future-versioned,
 // missing its JournalEnd trailer — is rejected with the precise offset
@@ -53,7 +58,8 @@ struct ReplayOptions {
 };
 
 struct ReplayReport {
-  bool ok{false};      ///< parsed, replayed, and every record type matched
+  bool ok{false};      ///< parsed, replayed, and every record type's
+                       ///< envelopes matched byte for byte
   bool parsed{false};  ///< journal bytes verified + structurally sound
   /// Why parsing failed (offset-bearing; meaningful when !parsed).
   wire::WireError error{};
@@ -72,7 +78,8 @@ class ReplayDriver {
   explicit ReplayDriver(ReplayOptions options = {});
 
   /// Replays `journal` through fresh services and compares every recorded
-  /// record type against the replay's. Never throws on malformed input.
+  /// record type's envelope bytes against the replay's. Never throws on
+  /// malformed input.
   [[nodiscard]] ReplayReport replay(
       std::span<const std::uint8_t> journal) const;
 

@@ -211,14 +211,12 @@ void PerceptionService::shard_loop(Shard& shard) {
   std::vector<const imaging::GrayImage*> frame_ptrs(window);
   std::vector<RecognitionResult*> result_ptrs(window);
   StreamResult delivery;
-  while (shard.ring.pop(jobs[0])) {
-    // Bounded, non-blocking gather: whatever is already queued joins this
-    // window, up to the configured cap. The gather NEVER waits — with a
-    // shallow queue (e.g. one live stream) m stays 1 and the frame takes
-    // the plain single-frame path, which is the latency bound the config
-    // documents.
-    std::size_t m = 1;
-    while (m < window && shard.ring.try_pop(jobs[m])) ++m;
+  // One pop_batch per window: it blocks for the first frame, then takes
+  // whatever else is ALREADY queued, up to the configured cap. It never
+  // waits for more — with a shallow queue (e.g. one live stream) m stays 1
+  // and the frame takes the plain single-frame path, which is the latency
+  // bound the config documents.
+  while (const std::size_t m = shard.ring.pop_batch(jobs.data(), window)) {
     queue_depth_.add(-static_cast<std::int64_t>(m));
     if ((ring_wait_ns_.armed() || recorder_ != nullptr) &&
         telemetry::enabled()) {

@@ -16,10 +16,10 @@
 //     drop-oldest (live feeds prefer fresh frames) or reject.
 //   - Every shard owns a RecognizerScratch + MicroBatchScratch and runs the
 //     same canonical pipeline as SaxSignRecognizer/BatchRecognizer. A shard
-//     pops one frame (blocking), then gathers whatever is ALREADY queued up
-//     to micro_batch_window frames (non-blocking try_pop — the gather never
-//     waits for frames that have not arrived, so an idle stream keeps plain
-//     single-frame latency) and answers the window with one blocked
+//     takes one window per ring lock (pop_batch: it blocks for the first
+//     frame, then takes whatever is ALREADY queued up to micro_batch_window
+//     frames — it never waits for frames that have not arrived, so an idle
+//     stream keeps plain single-frame latency) and answers it with one blocked
 //     database pass (recognize_frames_micro_batch). Payload fields are
 //     bit-identical to sequential recognition of the same frames; only the
 //     timing field total_ms reflects the batching.

@@ -212,9 +212,17 @@ struct MetricsSnapshot {
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 
-  [[nodiscard]] const CounterSnapshot* find_counter(std::string_view name) const noexcept;
+  /// The named entry, or null. Lvalue-only: the pointer points into this
+  /// snapshot, so calling these on a temporary (e.g. straight off
+  /// registry.snapshot()) would hand back a pointer that dangles at the
+  /// end of the statement — hold the snapshot in a named local instead.
+  [[nodiscard]] const CounterSnapshot* find_counter(
+      std::string_view name) const& noexcept;
   [[nodiscard]] const HistogramSnapshot* find_histogram(
-      std::string_view name) const noexcept;
+      std::string_view name) const& noexcept;
+  const CounterSnapshot* find_counter(std::string_view name) const&& = delete;
+  const HistogramSnapshot* find_histogram(std::string_view name) const&& =
+      delete;
 
   /// The activity between `prev` and this snapshot of the SAME registry:
   /// counters and histogram count/sum/buckets subtract element-wise (a

@@ -2,9 +2,9 @@
 //
 // Built for the streaming perception service: any number of producer
 // threads push frames, exactly one consumer (a shard worker) pops them in
-// FIFO order. Capacity is fixed at construction — a live camera feed must
-// not buffer unboundedly — and what happens when the ring is full is a
-// policy decision the caller makes per deployment:
+// FIFO order, a batch per lock. Capacity is fixed at construction — a live
+// camera feed must not buffer unboundedly — and what happens when the ring
+// is full is a policy decision the caller makes per deployment:
 //
 //   kBlock      — the producer waits for space (lossless; backpressure
 //                 propagates to the feed, e.g. a file replay).
@@ -85,37 +85,36 @@ class BoundedRing {
     return push_locked(lock, std::move(item), evicted);
   }
 
-  /// Pops the oldest item, blocking until one arrives or the ring is closed
-  /// AND drained. Returns false only on closed-and-empty (the consumer's
-  /// shutdown signal). Single consumer.
-  bool pop(T& out) {
+  /// Pops up to `max` items in FIFO order into `out[0..n)` under one lock,
+  /// blocking until at least one is queued, and wakes blocked producers
+  /// once for the whole batch. Returns the count moved; 0 only when the
+  /// ring is closed AND drained (the consumer's shutdown signal). Never
+  /// waits for more items than are already queued. `max` must be positive.
+  /// Single consumer.
+  std::size_t pop_batch(T* out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
-    if (size_ == 0) return false;  // closed and drained
-    out = std::move(storage_[head_]);
-    head_ = next(head_);
-    --size_;
-    ++popped_;
+    const std::size_t n = size_ < max ? size_ : max;
+    for (std::size_t k = 0; k < n; ++k) {
+      out[k] = std::move(storage_[head_]);
+      head_ = next(head_);
+    }
+    size_ -= n;
+    popped_ += n;
     lock.unlock();
-    not_full_.notify_one();
-    return true;
+    if (n == 1) {
+      not_full_.notify_one();
+    } else if (n > 1) {
+      not_full_.notify_all();  // n slots freed: let every waiter re-check
+    }
+    return n;
   }
 
-  /// Non-blocking pop; returns false when the ring is currently empty.
-  bool try_pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (size_ == 0) return false;
-    out = std::move(storage_[head_]);
-    head_ = next(head_);
-    --size_;
-    ++popped_;
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
+  /// pop_batch() of one item: false only on closed-and-drained.
+  bool pop(T& out) { return pop_batch(&out, 1) == 1; }
 
   /// Closes the ring: subsequent pushes return kClosed, blocked producers
-  /// wake, and the consumer drains what remains before pop() returns false.
+  /// wake, and the consumer drains what remains before pop_batch() returns 0.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -1,14 +1,19 @@
 // Record/replay tests: journal a run of the live services, replay it
 // through fresh services with the ReplayDriver, and assert bit-identical
 // reproduction — plus the rejection paths (corrupt / truncated /
-// future-versioned journals) and the committed 8-drone contention
-// fixture CI replays twice (the determinism gate).
+// future-versioned journals), journals that parse but diverge, and the
+// committed 8-drone contention fixture CI replays twice (the determinism
+// gate).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "coordination/coordination_service.hpp"
@@ -212,6 +217,93 @@ std::uint64_t value_of(const wire::MetricSnapshotRecord& snapshot,
   return 0;
 }
 
+/// Parses a journal the test built itself (fails the test if it does not).
+std::vector<wire::AnyRecord> parse_journal(
+    const std::vector<std::uint8_t>& bytes) {
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  EXPECT_TRUE(wire::parse_all(bytes, records, error)) << error.message;
+  return records;
+}
+
+/// Re-encodes records into a journal: every envelope gets a fresh, valid
+/// CRC, so an edited journal still parses.
+std::vector<std::uint8_t> encode_journal(
+    const std::vector<wire::AnyRecord>& records) {
+  std::vector<std::uint8_t> bytes;
+  for (const wire::AnyRecord& record : records) wire::encode(bytes, record);
+  return bytes;
+}
+
+/// Positions (in `records`) of every record of `type`, in journal order.
+std::vector<std::size_t> positions_of(const std::vector<wire::AnyRecord>& records,
+                                      wire::RecordType type) {
+  std::vector<std::size_t> positions;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (wire::record_type(records[i]) == type) positions.push_back(i);
+  }
+  return positions;
+}
+
+/// Changes one field of an output record (enum fields are left alone, so
+/// the record still parses).
+void change_one_field(wire::AnyRecord& record) {
+  std::visit(
+      [](auto& r) {
+        using R = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<R, wire::SignEventRecord>) {
+          r.confidence += 0.125;
+        } else if constexpr (std::is_same_v<R, wire::TransitionRecord>) {
+          r.tick += 1;
+        } else if constexpr (std::is_same_v<R, wire::OutcomeRecordWire>) {
+          r.final_sequence += 1;
+        } else if constexpr (std::is_same_v<R, wire::GrantUpdateRecord>) {
+          r.renewals += 1;
+        } else if constexpr (std::is_same_v<R, wire::ArbitrationRecord>) {
+          r.retry_at += 1;
+        } else if constexpr (std::is_same_v<R, wire::PlanHintRecord>) {
+          r.drone_id += 1000;
+        } else if constexpr (std::is_same_v<R, wire::TranscriptDigestRecord>) {
+          r.digest ^= 1;
+        } else if constexpr (std::is_same_v<R, wire::GrantSlotRecord>) {
+          r.renewals += 1;
+        } else if constexpr (std::is_same_v<R, wire::MetricSnapshotRecord>) {
+          r.entries.back().value += 1;
+        } else {
+          ADD_FAILURE() << "not an output record type";
+        }
+      },
+      record);
+}
+
+/// A run whose fused sign event has confidence exactly +0.0: onset and
+/// release thresholds of 0 let zero-confidence Attention frames fuse.
+std::vector<std::uint8_t> record_zero_confidence_run() {
+  interaction::InteractionServiceConfig dialogue_config;
+  dialogue_config.fusion.onset_confidence = 0.0;
+  dialogue_config.fusion.release_confidence = 0.0;
+  coordination::CoordinationConfig coordination_config;
+  coordination_config.cells = 4;
+
+  EventJournal journal;
+  JournalRecorder recorder(journal);
+  recorder.record_config(make_run_config(dialogue_config, coordination_config));
+  coordination::CoordinationService coordinator(coordination_config);
+  interaction::InteractionService dialogue(dialogue_config);
+  recorder.attach_interaction(dialogue, &coordinator);
+  recorder.attach_coordination(coordinator);
+  coordinator.register_drone({0, 0, 0, 0.9});
+  for (std::uint64_t seq = 1; seq <= 8; ++seq) {
+    dialogue.inject_observation(0, seq, signs::HumanSign::kAttentionGained, 0.0);
+  }
+  dialogue.drain();
+  coordinator.drain();
+  dialogue.stop();
+  coordinator.stop();
+  recorder.finalize(dialogue, {0}, coordinator);
+  return journal.bytes();
+}
+
 // -------------------------------------------------------------- tests ----
 
 TEST(Replay, DirectAdmissionRunReplaysBitIdentically) {
@@ -289,6 +381,42 @@ TEST(Replay, RecordingIsItselfReplayableAsAJournal) {
   const ReplayReport again = driver.replay(first.journal_bytes);
   EXPECT_TRUE(again.ok) << again.mismatch;
   EXPECT_EQ(again.journal_bytes, first.journal_bytes);
+}
+
+TEST(Replay, ZeroConfidenceSignSurvivesReplayButNegativeZeroDiverges) {
+  const std::vector<std::uint8_t> bytes = record_zero_confidence_run();
+  const ReplayDriver driver;
+  const ReplayReport clean = driver.replay(bytes);
+  ASSERT_TRUE(clean.ok) << clean.mismatch;
+
+  // Find the fused sign event the replay yields as +0.0 ...
+  std::vector<wire::AnyRecord> records = parse_journal(bytes);
+  const std::vector<std::size_t> events =
+      positions_of(records, wire::RecordType::kSignEvent);
+  std::size_t index = events.size();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const double confidence =
+        std::get<wire::SignEventRecord>(records[events[i]]).confidence;
+    if (confidence == 0.0 && !std::signbit(confidence)) {
+      index = i;
+      break;
+    }
+  }
+  ASSERT_LT(index, events.size()) << "the run fused no +0.0 sign event";
+
+  // ... and record it as -0.0. Field-wise equality calls the two equal;
+  // the byte contract does not.
+  wire::SignEventRecord& event =
+      std::get<wire::SignEventRecord>(records[events[index]]);
+  const wire::SignEventRecord replayed = event;
+  event.confidence = -0.0;
+  EXPECT_EQ(event, replayed);
+
+  const ReplayReport report = driver.replay(encode_journal(records));
+  EXPECT_TRUE(report.parsed) << report.mismatch;
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.mismatch, "SignEvent record " + std::to_string(index) +
+                                 " diverged between recording and replay");
 }
 
 TEST(Replay, JournalSaveLoadRoundTrip) {
@@ -451,6 +579,59 @@ TEST_F(ReplayEndToEnd, CommittedContentionFixtureReplaysTwiceIdentically) {
               static_cast<std::uint8_t>(coordination::GrantState::kGranted))
         << "cell " << pair.cell;
   }
+}
+
+TEST_F(ReplayEndToEnd, ChangedOutputRecordParsesButDiverges) {
+  // Journals that verify but do not reproduce: for each output record
+  // type, the fixture's LAST record of that type gets one field changed
+  // and a fresh CRC. Replay must parse it, replay it, and name exactly
+  // that type and index — every earlier record of the type still matched.
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(EventJournal::load(fixture_path(), bytes));
+  const std::vector<wire::AnyRecord> records = parse_journal(bytes);
+  const ReplayDriver driver;
+
+  for (const wire::RecordType type :
+       {wire::RecordType::kSignEvent, wire::RecordType::kTransition,
+        wire::RecordType::kOutcome, wire::RecordType::kGrantUpdate,
+        wire::RecordType::kArbitration, wire::RecordType::kPlanHint,
+        wire::RecordType::kTranscriptDigest, wire::RecordType::kGrantSlot,
+        wire::RecordType::kMetricSnapshot}) {
+    SCOPED_TRACE(wire::to_string(type));
+    const std::vector<std::size_t> positions = positions_of(records, type);
+    ASSERT_FALSE(positions.empty());
+    std::vector<wire::AnyRecord> edited = records;
+    change_one_field(edited[positions.back()]);
+    ASSERT_NE(edited[positions.back()], records[positions.back()]);
+
+    const ReplayReport report = driver.replay(encode_journal(edited));
+    EXPECT_TRUE(report.parsed) << report.mismatch;
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.mismatch,
+              std::string(wire::to_string(type)) + " record " +
+                  std::to_string(positions.size() - 1) +
+                  " diverged between recording and replay");
+  }
+}
+
+TEST_F(ReplayEndToEnd, MissingOutputRecordParsesButDivergesInCount) {
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(EventJournal::load(fixture_path(), bytes));
+  std::vector<wire::AnyRecord> records = parse_journal(bytes);
+  const std::vector<std::size_t> events =
+      positions_of(records, wire::RecordType::kSignEvent);
+  ASSERT_FALSE(events.empty());
+  records.erase(records.begin() +
+                static_cast<std::ptrdiff_t>(events.back()));
+  records.back() = wire::JournalEndRecord{records.size() - 1};
+
+  const ReplayReport report = ReplayDriver().replay(encode_journal(records));
+  EXPECT_TRUE(report.parsed) << report.mismatch;
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.mismatch,
+            "SignEvent count diverged: recorded " +
+                std::to_string(events.size() - 1) + ", replayed " +
+                std::to_string(events.size()));
 }
 
 TEST_F(ReplayEndToEnd, TracingTheReplayDoesNotPerturbItsBytes) {

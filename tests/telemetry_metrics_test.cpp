@@ -192,12 +192,16 @@ TEST(Registry, SnapshotDuringWritesIsMonotonicAndInternallyConsistent) {
   }
   // The snapshot loop can outrun thread startup: wait for the writer to
   // make progress before stopping it, so the final check is not a race.
-  while (registry.snapshot().find_counter("events_total")->value == 0) {
+  const auto events_total = [&registry] {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    return snapshot.find_counter("events_total")->value;
+  };
+  while (events_total() == 0) {
     std::this_thread::yield();
   }
   stop.store(true);
   writer.join();
-  EXPECT_GT(registry.snapshot().find_counter("events_total")->value, 0u);
+  EXPECT_GT(events_total(), 0u);
 }
 
 // ------------------------------------------------------------- handles --
@@ -230,16 +234,20 @@ TEST(Registry, SameNameReturnsTheSameMetric) {
 TEST(Span, RecordsElapsedTimeOnlyWhenEnabled) {
   MetricsRegistry registry;
   Histogram histogram = registry.histogram("span_ns");
+  const auto span_count = [&registry] {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    return snapshot.find_histogram("span_ns")->count;
+  };
   { TELEMETRY_SPAN(histogram); }
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 1u);
+  EXPECT_EQ(span_count(), 1u);
 
   set_enabled(false);
   { TELEMETRY_SPAN(histogram); }
   set_enabled(true);
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 1u);
+  EXPECT_EQ(span_count(), 1u);
 
   { TELEMETRY_SPAN(histogram); }
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 2u);
+  EXPECT_EQ(span_count(), 2u);
 }
 
 // ----------------------------------------------------------- exposition --

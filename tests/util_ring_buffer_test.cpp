@@ -1,7 +1,7 @@
 // BoundedRing: FIFO order, fill-to-capacity behaviour under each overflow
 // policy (block / drop-oldest / reject), eviction/rejection accounting,
-// close() semantics, and cross-thread per-stream sequence monotonicity
-// under a multi-producer load.
+// close() semantics, batch pops, and cross-thread per-stream sequence
+// monotonicity under a multi-producer load.
 #include "util/ring_buffer.hpp"
 
 #include <gtest/gtest.h>
@@ -49,15 +49,17 @@ TEST(BoundedRing, WrapAroundKeepsFifoOrder) {
 
 TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   // popped_count() is the stalled-shard watchdog's liveness signal: it
-  // must advance once per successful pop() AND try_pop(), and never on a
-  // failed try_pop, an eviction, or a rejection.
+  // must advance once per item taken by pop() AND by pop_batch() — by the
+  // batch size, not once per call — and never on a closed-and-drained
+  // return, an eviction, or a rejection.
   BoundedRing<int> ring(4, OverflowPolicy::kDropOldest);
   EXPECT_EQ(ring.popped_count(), 0u);
   for (int v = 0; v < 4; ++v) ring.push(v);
   int out = -1;
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), 1u);
-  ASSERT_TRUE(ring.try_pop(out));
+  int batch[4] = {};
+  ASSERT_EQ(ring.pop_batch(batch, 1), 1u);
   EXPECT_EQ(ring.popped_count(), 2u);
   // Evictions churn the ring's contents but are not pops.
   ring.push(4);
@@ -65,12 +67,119 @@ TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   ring.push(6);  // full again -> evicts the oldest
   const std::uint64_t before = ring.popped_count();
   EXPECT_EQ(before, 2u);
-  // Drain; every success counts once, the final failed try_pop does not.
-  while (ring.try_pop(out)) {
+  // One batch takes everything queued; the count moves by its size.
+  ASSERT_EQ(ring.pop_batch(batch, 4), 4u);
+  EXPECT_EQ(ring.popped_count(), before + 4);
+  // Closed and drained: 0, and no advance.
+  ring.close();
+  EXPECT_EQ(ring.pop_batch(batch, 4), 0u);
+  EXPECT_EQ(ring.popped_count(), before + 4);
+}
+
+TEST(BoundedRing, PopBatchTakesAtMostMaxInFifoOrder) {
+  BoundedRing<int> ring(8);
+  for (int v = 0; v < 7; ++v) ring.push(v);
+  int batch[8] = {};
+  // Caps at max, never waits for more than is queued.
+  ASSERT_EQ(ring.pop_batch(batch, 3), 3u);
+  EXPECT_EQ(batch[0], 0);
+  EXPECT_EQ(batch[1], 1);
+  EXPECT_EQ(batch[2], 2);
+  ASSERT_EQ(ring.pop_batch(batch, 8), 4u);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(batch[k], 3 + k);
+  EXPECT_EQ(ring.size(), 0u);
+  // A batch that spans the wrap-around point keeps order too.
+  for (int v = 10; v < 16; ++v) ring.push(v);
+  ASSERT_EQ(ring.pop_batch(batch, 8), 6u);
+  for (int k = 0; k < 6; ++k) EXPECT_EQ(batch[k], 10 + k);
+}
+
+TEST(BoundedRing, PopBatchReturnsZeroOnlyWhenClosedAndDrained) {
+  BoundedRing<int> ring(4);
+  int batch[4] = {};
+  // A consumer blocked on an empty ring wakes for one item, with 1.
+  std::size_t got = 0;
+  std::thread consumer([&] { got = ring.pop_batch(batch, 4); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ring.push(7);
+  consumer.join();
+  EXPECT_EQ(got, 1u);
+  EXPECT_EQ(batch[0], 7);
+
+  // Items queued before close() still drain, batch by batch...
+  for (int v = 0; v < 3; ++v) ring.push(v);
+  ring.close();
+  EXPECT_EQ(ring.pop_batch(batch, 2), 2u);
+  EXPECT_EQ(ring.pop_batch(batch, 2), 1u);
+  EXPECT_EQ(batch[0], 2);
+  // ...and only then does the call report closed-and-drained.
+  EXPECT_EQ(ring.pop_batch(batch, 2), 0u);
+  EXPECT_EQ(ring.pop_batch(batch, 2), 0u);
+
+  // A consumer blocked on an empty ring wakes on close(), with 0.
+  BoundedRing<int> idle(2);
+  std::thread waiter([&] { got = idle.pop_batch(batch, 2); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  idle.close();
+  waiter.join();
+  EXPECT_EQ(got, 0u);
+}
+
+TEST(BoundedRing, PopBatchWakesEveryProducerItFreedSlotsFor) {
+  // Two producers blocked on a full kBlock ring; ONE batch frees both
+  // slots, and both must complete without any further pop.
+  BoundedRing<int> ring(2, OverflowPolicy::kBlock);
+  ring.push(1);
+  ring.push(2);
+  std::atomic<int> returned{0};
+  std::vector<std::thread> producers;
+  for (int v = 3; v <= 4; ++v) {
+    producers.emplace_back([&, v] {
+      EXPECT_EQ(ring.push(v), PushOutcome::kEnqueued);
+      returned.fetch_add(1);
+    });
   }
-  EXPECT_EQ(ring.popped_count(), before + 4);
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_EQ(ring.popped_count(), before + 4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0) << "kBlock on a full ring must wait";
+  int batch[2] = {};
+  ASSERT_EQ(ring.pop_batch(batch, 2), 2u);
+  EXPECT_EQ(batch[0], 1);
+  EXPECT_EQ(batch[1], 2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (returned.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(returned.load(), 2) << "a producer missed the batch's wakeup";
+  EXPECT_EQ(ring.size(), 2u);
+  ring.close();  // releases a producer a lost wakeup left blocked
+  for (std::thread& t : producers) t.join();
+}
+
+TEST(BoundedRing, PopBatchLeavesEvictionAndRejectionCountersAlone) {
+  {
+    BoundedRing<int> ring(2, OverflowPolicy::kDropOldest);
+    for (int v = 0; v < 4; ++v) ring.push(v);  // evicts 0 and 1
+    EXPECT_EQ(ring.evicted_count(), 2u);
+    int batch[2] = {};
+    ASSERT_EQ(ring.pop_batch(batch, 2), 2u);
+    EXPECT_EQ(batch[0], 2);
+    EXPECT_EQ(batch[1], 3);
+    EXPECT_EQ(ring.evicted_count(), 2u);
+    EXPECT_EQ(ring.rejected_count(), 0u);
+  }
+  {
+    BoundedRing<int> ring(2, OverflowPolicy::kReject);
+    for (int v = 0; v < 4; ++v) ring.push(v);  // refuses 2 and 3
+    EXPECT_EQ(ring.rejected_count(), 2u);
+    int batch[2] = {};
+    ASSERT_EQ(ring.pop_batch(batch, 2), 2u);
+    EXPECT_EQ(batch[0], 0);
+    EXPECT_EQ(batch[1], 1);
+    EXPECT_EQ(ring.rejected_count(), 2u);
+    EXPECT_EQ(ring.evicted_count(), 0u);
+    EXPECT_EQ(ring.push(5), PushOutcome::kEnqueued);  // space freed
+  }
 }
 
 TEST(BoundedRing, DropOldestEvictsExactlyTheOldest) {
@@ -187,6 +296,53 @@ TEST(BoundedRing, CrossThreadPerStreamSequenceMonotonicity) {
     EXPECT_EQ(next_expected[s], kPerStream);
   }
   EXPECT_EQ(ring.size(), 0u);
+}
+
+TEST(BoundedRing, PopBatchKeepsPerStreamOrderAcrossBatchBoundaries) {
+  // The CrossThread test above, consumed through pop_batch with a cap
+  // that does not divide the ring size, so batches start and end at
+  // arbitrary points of the wrap and of each producer's run.
+  struct Item {
+    std::uint32_t stream{0};
+    std::uint64_t sequence{0};
+  };
+  constexpr std::size_t kStreams = 4;
+  constexpr std::uint64_t kPerStream = 2000;
+  BoundedRing<Item> ring(8, OverflowPolicy::kBlock);
+
+  std::vector<std::thread> producers;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    producers.emplace_back([&ring, s] {
+      for (std::uint64_t i = 0; i < kPerStream; ++i) {
+        EXPECT_EQ(ring.push({s, i}), PushOutcome::kEnqueued);
+      }
+    });
+  }
+
+  std::vector<std::uint64_t> next_expected(kStreams, 0);
+  Item batch[3];
+  std::uint64_t received = 0;
+  std::size_t batches = 0;
+  while (received < kStreams * kPerStream) {
+    const std::size_t n = ring.pop_batch(batch, 3);
+    ASSERT_GE(n, 1u);
+    ASSERT_LE(n, 3u);
+    ++batches;
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_LT(batch[k].stream, kStreams);
+      EXPECT_EQ(batch[k].sequence, next_expected[batch[k].stream])
+          << "stream " << batch[k].stream << " out of order";
+      ++next_expected[batch[k].stream];
+    }
+    received += n;
+  }
+  for (std::thread& t : producers) t.join();
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    EXPECT_EQ(next_expected[s], kPerStream);
+  }
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.popped_count(), kStreams * kPerStream);
+  EXPECT_GE(batches, kStreams * kPerStream / 3);
 }
 
 TEST(BoundedRing, DropOldestUnderConcurrentLoadAccountsEveryItem) {
