@@ -44,20 +44,19 @@ const GrantRegistry::Slot& GrantRegistry::slot(int cell) const {
 
 void GrantRegistry::publish(Slot& slot, const GrantRecord& record) {
   // The standard C++ seqlock writer (cf. Boehm, "Can seqlocks get along
-  // with programming memory models?"): odd version first, then a RELEASE
-  // FENCE so no field store can become visible before the odd version
-  // (a release *store* would not order the later relaxed stores), relaxed
-  // field stores, and a release store of the even version so a reader
-  // that acquires it sees every field.
+  // with programming memory models?"): odd version first, then RELEASE
+  // field stores — each one publishes the odd version to any reader whose
+  // acquire load observes it — and a release store of the even version so
+  // a reader that acquires it sees every field. Ordered accesses rather
+  // than a standalone fence, because ThreadSanitizer models those.
   const std::uint32_t v = slot.version.load(std::memory_order_relaxed);
   slot.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   slot.state.store(static_cast<std::uint8_t>(record.state),
-                   std::memory_order_relaxed);
-  slot.holder.store(record.holder, std::memory_order_relaxed);
-  slot.granted_seq.store(record.granted_seq, std::memory_order_relaxed);
-  slot.expires_seq.store(record.expires_seq, std::memory_order_relaxed);
-  slot.renewals.store(record.renewals, std::memory_order_relaxed);
+                   std::memory_order_release);
+  slot.holder.store(record.holder, std::memory_order_release);
+  slot.granted_seq.store(record.granted_seq, std::memory_order_release);
+  slot.expires_seq.store(record.expires_seq, std::memory_order_release);
+  slot.renewals.store(record.renewals, std::memory_order_release);
   slot.version.store(v + 2, std::memory_order_release);
 }
 
@@ -77,18 +76,16 @@ GrantRecord GrantRegistry::read(int cell) const {
   for (;;) {
     const std::uint32_t before = s.version.load(std::memory_order_acquire);
     if (before & 1U) continue;  // write in progress; retry
+    // ACQUIRE field loads: one that observes a writer's release store also
+    // observes that writer's earlier odd version, so the re-read below sees
+    // the odd version (or a newer one) and retries. Acquire also keeps the
+    // re-read from moving above any field load.
     record.state =
-        static_cast<GrantState>(s.state.load(std::memory_order_relaxed));
-    record.holder = s.holder.load(std::memory_order_relaxed);
-    record.granted_seq = s.granted_seq.load(std::memory_order_relaxed);
-    record.expires_seq = s.expires_seq.load(std::memory_order_relaxed);
-    record.renewals = s.renewals.load(std::memory_order_relaxed);
-    // ACQUIRE FENCE before the re-read: pairs with the writer's release
-    // fence so that if any field load above observed a post-fence store,
-    // this re-read must observe the odd version (or a newer one) and
-    // retry. An acquire *load* alone would not order the field loads
-    // before it.
-    std::atomic_thread_fence(std::memory_order_acquire);
+        static_cast<GrantState>(s.state.load(std::memory_order_acquire));
+    record.holder = s.holder.load(std::memory_order_acquire);
+    record.granted_seq = s.granted_seq.load(std::memory_order_acquire);
+    record.expires_seq = s.expires_seq.load(std::memory_order_acquire);
+    record.renewals = s.renewals.load(std::memory_order_acquire);
     if (s.version.load(std::memory_order_relaxed) == before) return record;
   }
 }

@@ -165,9 +165,13 @@ BinaryImage otsu_threshold(const GrayImage& src, std::uint8_t* chosen) {
 
 void invert_into(const GrayImage& src, GrayImage& out) {
   out.reset(src.width(), src.height());
-  for (std::size_t i = 0; i < src.data().size(); ++i) {
-    out.data()[i] = static_cast<std::uint8_t>(255 - src.data()[i]);
-  }
+  // Hoisted raw pointers: indexing through the vectors would reload their
+  // data pointers after every uint8_t store (which may alias them) and keep
+  // the loop from vectorising.
+  const std::uint8_t* in = src.data().data();
+  std::uint8_t* dst = out.data().data();
+  const std::size_t n = src.data().size();
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<std::uint8_t>(255 - in[i]);
 }
 
 GrayImage invert(const GrayImage& src) {

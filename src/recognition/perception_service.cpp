@@ -116,6 +116,10 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   if (frame.empty()) {
     throw std::invalid_argument("PerceptionService::submit: empty frame");
   }
+  if (stream_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "PerceptionService::submit: stream id above telemetry::kMaxTraceStreamId");
+  }
   telemetry::TracedSpan span(submit_ns_, recorder_, {},
                              telemetry::TraceStage::kSubmit);
   SubmitReceipt receipt;

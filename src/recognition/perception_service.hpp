@@ -190,7 +190,9 @@ class PerceptionService {
   /// Submits one frame of `stream_id` from any thread. The frame is copied
   /// (the camera keeps its buffer); use the rvalue overload to move. The
   /// returned receipt carries the per-stream sequence number the frame was
-  /// assigned. Throws std::invalid_argument for an empty frame.
+  /// assigned. Throws std::invalid_argument for an empty frame or a
+  /// stream id above telemetry::kMaxTraceStreamId (its trace ids would
+  /// collide); a refused submit consumes no sequence.
   SubmitReceipt submit(std::uint32_t stream_id, const imaging::GrayImage& frame);
   SubmitReceipt submit(std::uint32_t stream_id, imaging::GrayImage&& frame);
 

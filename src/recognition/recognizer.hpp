@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "imaging/bit_raster.hpp"
 #include "imaging/components.hpp"
 #include "imaging/contour.hpp"
 #include "imaging/image.hpp"
@@ -94,8 +95,8 @@ struct RecognizerScratch {
   imaging::GrayImage blur_scratch;   ///< box-pass ping-pong
   imaging::BinaryImage binary;       ///< threshold / morphology result
   imaging::BinaryImage morph;        ///< morphology intermediate
-  imaging::BinaryImage morph_a;      ///< separable-pass scratch
-  imaging::BinaryImage morph_b;      ///< separable-pass scratch
+  imaging::BitRaster morph_a;        ///< packed-pass scratch
+  imaging::BitRaster morph_b;        ///< packed-pass scratch
   imaging::BinaryImage mask;         ///< largest-component silhouette
   imaging::Labeling labeling;
   imaging::LabelScratch label_scratch;

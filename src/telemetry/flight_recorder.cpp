@@ -56,21 +56,22 @@ void FlightRecorder::emit(const TraceEvent& event) {
   const std::uint64_t head = lane.head.load(std::memory_order_relaxed);
   Slot& slot = lane.slots[head & (lane_capacity_ - 1)];
 
-  // Seqlock write: odd version -> release fence -> payload -> even
-  // version (release). The completed version for logical index i is
-  // exactly 2 * (i / capacity + 1); collect() validates against that to
-  // detect overwrites without locking the writer out.
+  // Seqlock write: odd version -> release payload stores -> even version
+  // (release). Each release payload store carries the odd version to a
+  // collector whose acquire load observes it (Boehm's fence-free seqlock,
+  // which ThreadSanitizer models). The completed version for logical index
+  // i is exactly 2 * (i / capacity + 1); collect() validates against that
+  // to detect overwrites without locking the writer out.
   const std::uint64_t version = slot.version.load(std::memory_order_relaxed);
   slot.version.store(version + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.trace_id.store(event.trace_id, std::memory_order_relaxed);
+  slot.trace_id.store(event.trace_id, std::memory_order_release);
   slot.meta.store(static_cast<std::uint64_t>(event.stream_id) |
                       static_cast<std::uint64_t>(event.stage) << 32 |
                       static_cast<std::uint64_t>(event.outcome) << 40,
-                  std::memory_order_relaxed);
-  slot.sequence.store(event.sequence, std::memory_order_relaxed);
-  slot.t_start.store(event.t_start_ns, std::memory_order_relaxed);
-  slot.t_end.store(event.t_end_ns, std::memory_order_relaxed);
+                  std::memory_order_release);
+  slot.sequence.store(event.sequence, std::memory_order_release);
+  slot.t_start.store(event.t_start_ns, std::memory_order_release);
+  slot.t_end.store(event.t_end_ns, std::memory_order_release);
   slot.version.store(version + 2, std::memory_order_release);
   lane.head.store(head + 1, std::memory_order_release);
 }
@@ -95,15 +96,17 @@ std::vector<TraceEvent> FlightRecorder::collect() const {
       const std::uint64_t v1 = slot.version.load(std::memory_order_acquire);
       if (v1 != expected) continue;  // mid-write (odd) or overwritten
       TraceEvent event;
-      event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      const std::uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+      // Acquire payload loads pair with emit()'s release stores: a load
+      // that sees a newer write also sees its odd version, so the re-check
+      // below rejects the torn read.
+      event.trace_id = slot.trace_id.load(std::memory_order_acquire);
+      const std::uint64_t meta = slot.meta.load(std::memory_order_acquire);
       event.stream_id = static_cast<std::uint32_t>(meta & 0xFFFF'FFFFu);
       event.stage = static_cast<TraceStage>(meta >> 32 & 0xFF);
       event.outcome = static_cast<TraceOutcome>(meta >> 40 & 0xFF);
-      event.sequence = slot.sequence.load(std::memory_order_relaxed);
-      event.t_start_ns = slot.t_start.load(std::memory_order_relaxed);
-      event.t_end_ns = slot.t_end.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      event.sequence = slot.sequence.load(std::memory_order_acquire);
+      event.t_start_ns = slot.t_start.load(std::memory_order_acquire);
+      event.t_end_ns = slot.t_end.load(std::memory_order_acquire);
       if (slot.version.load(std::memory_order_relaxed) != v1) continue;
       events.push_back(event);
     }

@@ -4,8 +4,9 @@
 // Each writer thread owns one lane (registered on first emit; a deque
 // keeps lane addresses stable). Within a lane the writer is single and
 // readers are concurrent, so every slot is a tiny seqlock — the same
-// idiom GrantRegistry uses, TSAN-clean under the documented fence
-// discipline. collect() validates each slot's version against the exact
+// idiom GrantRegistry uses: release payload stores after the odd version,
+// acquire payload loads before the re-check, no standalone fence, so
+// ThreadSanitizer models it. collect() validates each slot's version against the exact
 // value its logical index implies, so a reader can tell "overwritten
 // while I was reading" from "consistent" without ever blocking the
 // writer: export-during-write returns only events that were fully

@@ -37,11 +37,17 @@
 
 namespace hdc::telemetry {
 
+/// Largest stream id make_trace_id keeps distinct and non-zero: the id is
+/// stored as stream_id + 1 in 16 bits, so stream 65535 would wrap to tag 0
+/// (trace id 0 at sequence 0) and stream 65536 would alias stream 0.
+/// PerceptionService::submit rejects anything above it.
+inline constexpr std::uint32_t kMaxTraceStreamId = 65534;
+
 /// Deterministic trace identity for one frame of one stream. Never zero
-/// (the +1 keeps stream 0 / sequence 0 distinguishable from "no context"),
-/// stable across live runs and journal replays of the same input. The top
-/// 16 bits disambiguate streams, the low 48 the per-stream sequence — both
-/// far beyond any deployment in this codebase.
+/// for stream_id <= kMaxTraceStreamId (the +1 keeps stream 0 / sequence 0
+/// distinguishable from "no context"), stable across live runs and journal
+/// replays of the same input. The top 16 bits disambiguate streams, the
+/// low 48 the per-stream sequence.
 [[nodiscard]] constexpr std::uint64_t make_trace_id(
     std::uint32_t stream_id, std::uint64_t sequence) noexcept {
   return ((static_cast<std::uint64_t>(stream_id) + 1) & 0xFFFFu) << 48 |

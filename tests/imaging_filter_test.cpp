@@ -95,6 +95,28 @@ TEST(Invert, IsInvolution) {
   EXPECT_EQ(invert(img)(0, 0), 255);
 }
 
+TEST(Invert, MapsEveryValueToItsComplement) {
+  // All 256 grey levels in one row, then an odd-length row so the loop's
+  // vector body and scalar tail are both exercised.
+  GrayImage all(256, 1);
+  for (int v = 0; v < 256; ++v) all(v, 0) = static_cast<std::uint8_t>(v);
+  GrayImage out;
+  invert_into(all, out);
+  ASSERT_EQ(out.width(), 256);
+  for (int v = 0; v < 256; ++v) EXPECT_EQ(out(v, 0), 255 - v) << "value " << v;
+
+  GrayImage odd(77, 3);
+  for (std::size_t i = 0; i < odd.data().size(); ++i) {
+    odd.data()[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  invert_into(odd, out);  // reuses the larger buffer
+  ASSERT_EQ(out.width(), 77);
+  ASSERT_EQ(out.height(), 3);
+  for (std::size_t i = 0; i < odd.data().size(); ++i) {
+    EXPECT_EQ(out.data()[i], 255 - odd.data()[i]) << "pixel " << i;
+  }
+}
+
 TEST(GaussianNoise, DeterministicPerSeedAndBounded) {
   const GrayImage img(32, 32, 128);
   hdc::util::Rng rng_a(9), rng_b(9), rng_c(10);

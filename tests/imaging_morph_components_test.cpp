@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "imaging/components.hpp"
 #include "imaging/draw.hpp"
+#include "imaging/filter.hpp"
 #include "imaging/morphology.hpp"
+#include "signs/scene.hpp"
 #include "util/rng.hpp"
 
 namespace hdc::imaging {
@@ -93,6 +97,131 @@ TEST(Morphology, ExtensivityAndAntiExtensivity) {
       }
       if (img(x, y) == kForeground) {
         EXPECT_EQ(closed(x, y), kForeground);
+      }
+    }
+  }
+}
+
+// The byte-per-pixel morphology the packed passes replaced: a separable
+// square element as AND (erode) / OR (dilate) over shifted byte rows, with
+// pixels outside the raster counting as background. Kept as the reference
+// that pins the packed version bit for bit.
+enum class RefOp { kErode, kDilate };
+
+BinaryImage reference_morph(const BinaryImage& src, int radius, RefOp op) {
+  if (radius <= 0) return src;
+  const bool is_erode = op == RefOp::kErode;
+  const int w = src.width();
+  const int h = src.height();
+  const auto row_size = static_cast<std::size_t>(w);
+  BinaryImage horizontal(w, h);
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* in = src.data().data() + static_cast<std::size_t>(y) * row_size;
+    std::uint8_t* mid = horizontal.data().data() + static_cast<std::size_t>(y) * row_size;
+    std::memcpy(mid, in, row_size);
+    for (int d = 1; d <= radius; ++d) {
+      const int left_end = std::max(w - d, 0);
+      if (is_erode) {
+        for (int x = 0; x < left_end; ++x) mid[x] &= in[x + d];
+        for (int x = left_end; x < w; ++x) mid[x] = kBackground;
+        for (int x = w - 1; x >= d; --x) mid[x] &= in[x - d];
+        for (int x = 0; x < d && x < w; ++x) mid[x] = kBackground;
+      } else {
+        for (int x = 0; x < left_end; ++x) mid[x] |= in[x + d];
+        for (int x = w - 1; x >= d; --x) mid[x] |= in[x - d];
+      }
+    }
+  }
+  BinaryImage out(w, h);
+  for (int y = 0; y < h; ++y) {
+    std::uint8_t* dst = out.data().data() + static_cast<std::size_t>(y) * row_size;
+    const int top = y - radius;
+    const int bottom = y + radius;
+    if (is_erode && (top < 0 || bottom >= h)) {
+      std::memset(dst, kBackground, row_size);
+      continue;
+    }
+    const int first = std::max(top, 0);
+    const int last = std::min(bottom, h - 1);
+    std::memcpy(dst, horizontal.data().data() + static_cast<std::size_t>(first) * row_size,
+                row_size);
+    for (int yy = first + 1; yy <= last; ++yy) {
+      const std::uint8_t* mid =
+          horizontal.data().data() + static_cast<std::size_t>(yy) * row_size;
+      for (int x = 0; x < w; ++x) dst[x] = is_erode ? (dst[x] & mid[x]) : (dst[x] | mid[x]);
+    }
+  }
+  return out;
+}
+
+/// Checks erode/dilate/open/close, allocating and into reused scratches,
+/// against the byte reference.
+void expect_packed_matches_reference(const BinaryImage& img, int radius,
+                                     BitRaster& scratch_a, BitRaster& scratch_b,
+                                     BinaryImage& out, const std::string& where) {
+  const BinaryImage want_erode = reference_morph(img, radius, RefOp::kErode);
+  const BinaryImage want_dilate = reference_morph(img, radius, RefOp::kDilate);
+  const BinaryImage want_open = reference_morph(want_erode, radius, RefOp::kDilate);
+  const BinaryImage want_close = reference_morph(want_dilate, radius, RefOp::kErode);
+
+  ASSERT_TRUE(erode(img, radius) == want_erode) << "erode " << where;
+  ASSERT_TRUE(dilate(img, radius) == want_dilate) << "dilate " << where;
+  ASSERT_TRUE(open(img, radius) == want_open) << "open " << where;
+  ASSERT_TRUE(close(img, radius) == want_close) << "close " << where;
+
+  erode_into(img, radius, out, scratch_a);
+  ASSERT_TRUE(out == want_erode) << "erode_into " << where;
+  dilate_into(img, radius, out, scratch_b);
+  ASSERT_TRUE(out == want_dilate) << "dilate_into " << where;
+  open_into(img, radius, out, scratch_a, scratch_b);
+  ASSERT_TRUE(out == want_open) << "open_into " << where;
+  close_into(img, radius, out, scratch_a, scratch_b);
+  ASSERT_TRUE(out == want_close) << "close_into " << where;
+}
+
+TEST(Morphology, PackedPassesBitIdenticalToByteReferenceOnRandomRasters) {
+  // Widths straddle the 64-pixel word edges; radii reach past one word.
+  // The scratches are carried across every size, so reuse after a larger
+  // or smaller raster is covered too.
+  hdc::util::Rng rng(4321);
+  BitRaster scratch_a;
+  BitRaster scratch_b;
+  BinaryImage out;
+  for (const int w : {1, 2, 63, 64, 65, 127, 128, 129, 479, 480, 481}) {
+    for (const int h : {1, 2, 3, 37}) {
+      for (const int radius : {1, 2, 3, 63, 64, 65}) {
+        const double density = rng.uniform();
+        BinaryImage img(w, h, kBackground);
+        for (std::uint8_t& px : img.data()) {
+          px = rng.uniform() < density ? kForeground : kBackground;
+        }
+        expect_packed_matches_reference(
+            img, radius, scratch_a, scratch_b, out,
+            std::to_string(w) + "x" + std::to_string(h) + " r=" +
+                std::to_string(radius) + " density=" + std::to_string(density));
+      }
+    }
+  }
+}
+
+TEST(Morphology, PackedPassesBitIdenticalToByteReferenceOnRenderedSigns) {
+  // The pipeline's real input: noisy, cluttered renders after invert + Otsu.
+  hdc::util::Rng rng(77);
+  BitRaster scratch_a;
+  BitRaster scratch_b;
+  BinaryImage out;
+  signs::RenderOptions options;
+  options.noise_stddev = 14.0;
+  options.clutter_count = 6;
+  for (const signs::HumanSign sign : signs::kAllSigns) {
+    for (const double azimuth : {0.0, 35.0, 70.0, 110.0}) {
+      const GrayImage frame = signs::render_sign(sign, {3.5, 3.0, azimuth}, options, &rng);
+      const BinaryImage binary = otsu_threshold(invert(frame));
+      for (const int radius : {1, 2, 3}) {
+        expect_packed_matches_reference(
+            binary, radius, scratch_a, scratch_b, out,
+            "sign " + std::to_string(static_cast<int>(sign)) + " azimuth " +
+                std::to_string(azimuth) + " r=" + std::to_string(radius));
       }
     }
   }

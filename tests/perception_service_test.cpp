@@ -756,5 +756,25 @@ TEST_F(PerceptionServiceSuite, EmptyFrameThrowsAtSubmit) {
                std::invalid_argument);
 }
 
+TEST_F(PerceptionServiceSuite, StreamIdAboveTraceBoundThrowsAndConsumesNoSequence) {
+  PerceptionService service(
+      sequential_->config(), sequential_->database_ptr(),
+      [](const StreamResult&) {},
+      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kBlock});
+  const imaging::GrayImage& frame = (*scripts_)[0][0];
+  const SubmitReceipt first = service.submit(telemetry::kMaxTraceStreamId, frame);
+  EXPECT_EQ(first.status, SubmitStatus::kEnqueued);
+  EXPECT_EQ(first.sequence, 0u);
+  EXPECT_THROW(service.submit(telemetry::kMaxTraceStreamId + 1, frame),
+               std::invalid_argument);
+  EXPECT_THROW(service.submit(0xFFFF'FFFFu, frame), std::invalid_argument);
+  service.drain();
+  EXPECT_EQ(service.stream_stats(telemetry::kMaxTraceStreamId + 1).submitted, 0u);
+  EXPECT_EQ(service.total_stats().submitted, 1u);
+  // The accepted stream's counter moved by exactly its one admitted frame.
+  EXPECT_EQ(service.submit(telemetry::kMaxTraceStreamId, frame).sequence, 1u);
+  service.drain();
+}
+
 }  // namespace
 }  // namespace hdc::recognition

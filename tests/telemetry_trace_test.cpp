@@ -43,6 +43,16 @@ TEST(TraceId, NeverZeroSoZeroMeansNoContext) {
   EXPECT_EQ(TraceContext{}.trace_id, 0u);
 }
 
+TEST(TraceId, StreamIdBoundKeepsIdsNonZeroAndDistinct) {
+  // The 16-bit stream tag holds stream_id + 1: the bound is the last id
+  // whose tag neither wraps to zero nor aliases stream 0.
+  EXPECT_EQ(kMaxTraceStreamId, 65534u);
+  EXPECT_NE(make_trace_id(kMaxTraceStreamId, 0), 0u);
+  EXPECT_NE(make_trace_id(kMaxTraceStreamId, 0), make_trace_id(0, 0));
+  EXPECT_EQ(make_trace_id(kMaxTraceStreamId + 1, 0), 0u);  // why it is the bound
+  EXPECT_EQ(make_trace_id(kMaxTraceStreamId + 2, 5), make_trace_id(0, 5));
+}
+
 TEST(TraceId, ContextOfReconstitutesIdenticalIdentity) {
   const TraceContext minted = TraceContext::of(5, 123);
   const TraceContext reconstituted = TraceContext::of(5, 123);
