@@ -1,69 +1,18 @@
 #include "imaging/components.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <numeric>
 
 namespace hdc::imaging {
 
 namespace {
 
-/// Union-find over provisional labels, storing its parents in a
-/// caller-owned arena so batch workers can reuse the allocation.
-class DisjointSet {
- public:
-  explicit DisjointSet(std::vector<std::int32_t>& parent) : parent_(parent) {
-    parent_.clear();
-  }
-  std::int32_t make_set() {
-    parent_.push_back(static_cast<std::int32_t>(parent_.size()));
-    return parent_.back();
-  }
-  std::int32_t find(std::int32_t x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(std::int32_t a, std::int32_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
-  }
-
- private:
-  std::vector<std::int32_t>& parent_;
-};
-
-/// First-nonzero-wins merge of the four already-visited 8-connectivity
-/// neighbours, in the fixed W, NW, N, NE order (the order pins the label
-/// numbering, so it must never change).
-inline std::int32_t merge_neighbours(DisjointSet& sets, std::int32_t w,
-                                     std::int32_t nw, std::int32_t n,
-                                     std::int32_t ne) {
-  std::int32_t label = w;
-  if (nw != 0) {
-    if (label == 0) label = nw;
-    else sets.unite(label, nw);
-  }
-  if (n != 0) {
-    if (label == 0) label = n;
-    else sets.unite(label, n);
-  }
-  if (ne != 0) {
-    if (label == 0) label = ne;
-    else sets.unite(label, ne);
-  }
-  return label;
-}
-
 /// The next foreground pixel at or after `x` in a {0, 255} row, or `width`
 /// when the rest of the row is background. memchr is the branch-light
 /// (SIMD in libc) row scan — silhouette frames are mostly background, so
 /// skipping runs wholesale is where the time goes. Bytes other than 255
-/// are background, exactly like the `!= kForeground` test it replaces.
+/// are background.
 inline int next_foreground(const std::uint8_t* row, int x, int width) {
   const void* hit = std::memchr(row + x, kForeground,
                                 static_cast<std::size_t>(width - x));
@@ -71,87 +20,150 @@ inline int next_foreground(const std::uint8_t* row, int x, int width) {
   return static_cast<int>(static_cast<const std::uint8_t*>(hit) - row);
 }
 
+/// The first pixel at or after `x` that is not foreground, or `width`.
+/// Eight pixels per step: a word of all-0xFF bytes is eight foreground
+/// pixels; otherwise the complement's lowest set byte (in memory order) is
+/// the run's end.
+inline int run_end(const std::uint8_t* row, int x, int width) {
+  for (; x + 8 <= width; x += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, row + x, sizeof word);
+    const std::uint64_t miss = ~word;
+    if (miss != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return x + (std::countr_zero(miss) >> 3);
+      } else {
+        return x + (std::countl_zero(miss) >> 3);
+      }
+    }
+  }
+  while (x < width && row[x] == kForeground) ++x;
+  return x;
+}
+
+/// Union-find root with path halving.
+inline std::int32_t find_root(std::vector<std::int32_t>& parent, std::int32_t x) {
+  while (parent[static_cast<std::size_t>(x)] != x) {
+    parent[static_cast<std::size_t>(x)] =
+        parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+    x = parent[static_cast<std::size_t>(x)];
+  }
+  return x;
+}
+
+/// Union by smaller index, so a set's root is always its first run in
+/// raster order.
+inline void unite(std::vector<std::int32_t>& parent, std::int32_t a, std::int32_t b) {
+  a = find_root(parent, a);
+  b = find_root(parent, b);
+  if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+}
+
+/// The labelling core. Extracts each row's foreground runs into
+/// scratch.runs and unites every run with the previous row's runs that
+/// overlap [x0-1, x1+1] (8-connectivity). Then numbers the components in
+/// the order of their first run — the raster order of their first pixel —
+/// into scratch.run_label and gathers `components`' statistics per run.
+void label_runs(const BinaryImage& binary, std::vector<Component>& components,
+                LabelScratch& scratch) {
+  std::vector<ForegroundRun>& runs = scratch.runs;
+  std::vector<std::int32_t>& parent = scratch.parent;
+  runs.clear();
+  parent.clear();
+  const int w = binary.width();
+  const int h = binary.height();
+  const std::uint8_t* data = binary.data().data();
+  const auto row_size = static_cast<std::size_t>(w);
+  std::size_t prev_begin = 0;  // previous row's runs: [prev_begin, prev_end)
+  std::size_t prev_end = 0;
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* row = data + static_cast<std::size_t>(y) * row_size;
+    const std::size_t row_begin = runs.size();
+    for (int x = next_foreground(row, 0, w); x < w;) {
+      const int end = run_end(row, x + 1, w);
+      const auto index = static_cast<std::int32_t>(runs.size());
+      runs.push_back(ForegroundRun{x, end - 1, y});
+      parent.push_back(index);
+      // Previous-row runs ending left of x-1 touch neither this run nor
+      // any later one in the row.
+      while (prev_begin < prev_end && runs[prev_begin].x1 + 1 < x) ++prev_begin;
+      for (std::size_t p = prev_begin; p < prev_end && runs[p].x0 <= end; ++p) {
+        unite(parent, index, static_cast<std::int32_t>(p));
+      }
+      x = end < w ? next_foreground(row, end + 1, w) : w;
+    }
+    prev_begin = row_begin;
+    prev_end = runs.size();
+  }
+
+  std::vector<std::int32_t>& run_label = scratch.run_label;
+  std::vector<std::int64_t>& sum_x = scratch.sum_x;
+  std::vector<std::int64_t>& sum_y = scratch.sum_y;
+  run_label.resize(runs.size());
+  components.clear();
+  sum_x.clear();
+  sum_y.clear();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ForegroundRun& run = runs[i];
+    const std::int32_t root = find_root(parent, static_cast<std::int32_t>(i));
+    std::int32_t label;
+    if (static_cast<std::size_t>(root) == i) {
+      label = static_cast<std::int32_t>(components.size()) + 1;
+      components.push_back(Component{label, 0, run.x0, run.y, run.x1, run.y, {}});
+      sum_x.push_back(0);
+      sum_y.push_back(0);
+    } else {
+      label = run_label[static_cast<std::size_t>(root)];
+    }
+    run_label[i] = label;
+    const auto slot = static_cast<std::size_t>(label - 1);
+    Component& comp = components[slot];
+    const std::int64_t length = run.x1 - run.x0 + 1;
+    comp.area += static_cast<std::size_t>(length);
+    comp.min_x = std::min(comp.min_x, run.x0);
+    comp.max_x = std::max(comp.max_x, run.x1);
+    comp.max_y = run.y;  // runs arrive in row order
+    // x0 + ... + x1 = (x0 + x1) * length / 2; the product is always even.
+    sum_x[slot] += (static_cast<std::int64_t>(run.x0) + run.x1) * length / 2;
+    sum_y[slot] += static_cast<std::int64_t>(run.y) * length;
+  }
+  // The integer sums are exactly the per-pixel double sums, so the
+  // centroids match a per-pixel accumulation bit for bit.
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    Component& comp = components[i];
+    comp.centroid.x = static_cast<double>(sum_x[i]) / static_cast<double>(comp.area);
+    comp.centroid.y = static_cast<double>(sum_y[i]) / static_cast<double>(comp.area);
+  }
+}
+
+/// Sets to kForeground, in the cleared raster `out`, every run whose
+/// component label passes `keep`.
+template <typename Keep>
+void paint_runs(const LabelScratch& scratch, Keep keep, BinaryImage& out) {
+  std::uint8_t* data = out.data().data();
+  const auto row_size = static_cast<std::size_t>(out.width());
+  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+    if (!keep(scratch.run_label[i])) continue;
+    const ForegroundRun& run = scratch.runs[i];
+    std::memset(data + static_cast<std::size_t>(run.y) * row_size +
+                    static_cast<std::size_t>(run.x0),
+                kForeground, static_cast<std::size_t>(run.x1 - run.x0 + 1));
+  }
+}
+
 }  // namespace
 
 void label_components_into(const BinaryImage& binary, Labeling& out,
                            LabelScratch& scratch) {
+  label_runs(binary, out.components, scratch);
   out.labels.reset(binary.width(), binary.height(), 0);
-  out.components.clear();
-  const int w = binary.width();
-  const int h = binary.height();
-  const std::uint8_t* bin_data = binary.data().data();
-  std::int32_t* lab_data = out.labels.data().data();
-  const auto row_size = static_cast<std::size_t>(w);
-  DisjointSet sets(scratch.parent);
-  sets.make_set();  // slot 0 = background
-
-  // Pass 1: provisional labels, merging across the W/NW/N/NE neighbours.
-  // Row pointers replace per-pixel index math and bounds checks; the first
-  // and last columns (where NW / NE fall off the raster) peel out of the
-  // interior loop so it stays branch-light.
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* bin = bin_data + static_cast<std::size_t>(y) * row_size;
-    std::int32_t* lab = lab_data + static_cast<std::size_t>(y) * row_size;
-    const std::int32_t* up = lab - row_size;  // valid only for y > 0
-    if (y == 0) {
-      // Top row: the only visited neighbour is W.
-      for (int x = next_foreground(bin, 0, w); x < w;
-           x = next_foreground(bin, x + 1, w)) {
-        const std::int32_t west = x > 0 ? lab[x - 1] : 0;
-        lab[x] = west != 0 ? west : sets.make_set();
-      }
-      continue;
-    }
-    for (int x = next_foreground(bin, 0, w); x < w;
-         x = next_foreground(bin, x + 1, w)) {
-      const std::int32_t west = x > 0 ? lab[x - 1] : 0;
-      const std::int32_t north_west = x > 0 ? up[x - 1] : 0;
-      const std::int32_t north = up[x];
-      const std::int32_t north_east = x + 1 < w ? up[x + 1] : 0;
-      const std::int32_t label =
-          merge_neighbours(sets, west, north_west, north, north_east);
-      lab[x] = label != 0 ? label : sets.make_set();
-    }
-  }
-
-  // Pass 2: flatten labels to 1..n and gather statistics, again skipping
-  // background runs via the binary raster (nonzero labels sit exactly on
-  // foreground pixels).
-  std::vector<std::int32_t>& remap = scratch.remap;  // root -> compact label
-  remap.clear();
-  std::vector<Component>& comps = out.components;
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* bin = bin_data + static_cast<std::size_t>(y) * row_size;
-    std::int32_t* lab = lab_data + static_cast<std::size_t>(y) * row_size;
-    for (int x = next_foreground(bin, 0, w); x < w;
-         x = next_foreground(bin, x + 1, w)) {
-      const std::int32_t root = sets.find(lab[x]);
-      if (static_cast<std::size_t>(root) >= remap.size()) {
-        remap.resize(static_cast<std::size_t>(root) + 1, 0);
-      }
-      if (remap[static_cast<std::size_t>(root)] == 0) {
-        remap[static_cast<std::size_t>(root)] =
-            static_cast<std::int32_t>(comps.size()) + 1;
-        comps.push_back(Component{static_cast<std::int32_t>(comps.size()) + 1, 0, x, y,
-                                  x, y, {}});
-      }
-      const std::int32_t compact = remap[static_cast<std::size_t>(root)];
-      lab[x] = compact;
-      Component& comp = comps[static_cast<std::size_t>(compact - 1)];
-      ++comp.area;
-      comp.min_x = std::min(comp.min_x, x);
-      comp.min_y = std::min(comp.min_y, y);
-      comp.max_x = std::max(comp.max_x, x);
-      comp.max_y = std::max(comp.max_y, y);
-      comp.centroid.x += x;
-      comp.centroid.y += y;
-    }
-  }
-  for (Component& comp : comps) {
-    if (comp.area > 0) {
-      comp.centroid.x /= static_cast<double>(comp.area);
-      comp.centroid.y /= static_cast<double>(comp.area);
-    }
+  std::int32_t* data = out.labels.data().data();
+  const auto row_size = static_cast<std::size_t>(binary.width());
+  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+    const ForegroundRun& run = scratch.runs[i];
+    std::fill_n(data + static_cast<std::size_t>(run.y) * row_size +
+                    static_cast<std::size_t>(run.x0),
+                run.x1 - run.x0 + 1, scratch.run_label[i]);
   }
 }
 
@@ -165,7 +177,7 @@ Labeling label_components(const BinaryImage& binary) {
 void largest_component_mask_into(const BinaryImage& binary, std::size_t min_area,
                                  BinaryImage& mask, Labeling& labeling,
                                  LabelScratch& scratch) {
-  label_components_into(binary, labeling, scratch);
+  label_runs(binary, labeling.components, scratch);
   mask.reset(binary.width(), binary.height(), kBackground);
   const Component* largest = nullptr;
   for (const Component& comp : labeling.components) {
@@ -174,16 +186,8 @@ void largest_component_mask_into(const BinaryImage& binary, std::size_t min_area
     }
   }
   if (largest == nullptr) return;
-  // Branchless select — 0 - (lab == target) is 0x00 or 0xFF, which IS the
-  // {kBackground, kForeground} convention; the compiler vectorises the
-  // compare+negate where a conditional store would not.
   const std::int32_t target = largest->label;
-  const std::int32_t* lab = labeling.labels.data().data();
-  std::uint8_t* dst = mask.data().data();
-  const std::size_t count = mask.data().size();
-  for (std::size_t i = 0; i < count; ++i) {
-    dst[i] = static_cast<std::uint8_t>(-static_cast<std::uint8_t>(lab[i] == target));
-  }
+  paint_runs(scratch, [target](std::int32_t label) { return label == target; }, mask);
 }
 
 BinaryImage largest_component_mask(const BinaryImage& binary, std::size_t min_area) {
@@ -195,22 +199,16 @@ BinaryImage largest_component_mask(const BinaryImage& binary, std::size_t min_ar
 }
 
 BinaryImage remove_small_components(const BinaryImage& binary, std::size_t min_area) {
-  const Labeling labeling = label_components(binary);
+  std::vector<Component> components;
+  LabelScratch scratch;
+  label_runs(binary, components, scratch);
   BinaryImage out(binary.width(), binary.height(), kBackground);
-  // keep[label] is 0x00/0xFF per component size; the fill is then a pure
-  // table gather over the label raster, no per-pixel branching.
-  std::vector<std::uint8_t> keep(labeling.components.size() + 1, kBackground);
-  for (const Component& comp : labeling.components) {
-    if (comp.area >= min_area) {
-      keep[static_cast<std::size_t>(comp.label)] = kForeground;
-    }
-  }
-  const std::int32_t* lab = labeling.labels.data().data();
-  std::uint8_t* dst = out.data().data();
-  const std::size_t count = out.data().size();
-  for (std::size_t i = 0; i < count; ++i) {
-    dst[i] = keep[static_cast<std::size_t>(lab[i])];
-  }
+  paint_runs(
+      scratch,
+      [&components, min_area](std::int32_t label) {
+        return components[static_cast<std::size_t>(label - 1)].area >= min_area;
+      },
+      out);
   return out;
 }
 

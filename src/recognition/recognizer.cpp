@@ -324,8 +324,7 @@ void recognize_frames_micro_batch(const RecognizerConfig& config,
 RecognitionResult SaxSignRecognizer::recognize(const imaging::GrayImage& frame,
                                                RecognitionTrace* trace) const {
   RecognitionResult result;
-  RecognizerScratch scratch;
-  recognize_frame_into(config_, *database_, frame, scratch, result, &timers_, trace);
+  recognize_frame_into(config_, *database_, frame, scratch_, result, &timers_, trace);
   return result;
 }
 

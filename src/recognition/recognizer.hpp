@@ -116,9 +116,10 @@ struct RecognizerScratch {
 
 /// The full single-frame pipeline writing into caller-owned buffers. This is
 /// the one canonical implementation: SaxSignRecognizer::recognize delegates
-/// here with a fresh scratch (so its results are bit-identical to the batch
-/// engine's, which reuses scratches). `timers`/`trace` may be null; both
-/// cost extra when set, so the batch hot path passes null.
+/// here with its own reused scratch, and every engine reuses scratches
+/// across frames, so results never depend on what a scratch held before.
+/// `timers`/`trace` may be null; both cost extra when set, so the batch hot
+/// path passes null.
 void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& database,
                           const imaging::GrayImage& frame, RecognizerScratch& scratch,
                           RecognitionResult& result, util::StageTimers* timers = nullptr,
@@ -179,8 +180,12 @@ class SaxSignRecognizer {
   SaxSignRecognizer(const RecognizerConfig& config,
                     std::shared_ptr<const SignDatabase> database);
 
-  /// Processes one frame. When `trace` is non-null, intermediates are
-  /// copied out (costs extra; keep null on the hot path).
+  /// Processes one frame through the recogniser's own reused scratch. Not
+  /// safe to call concurrently on one recogniser (the scratch and timers()
+  /// are shared); give each thread its own recogniser or use
+  /// recognize_frame_into with a per-thread scratch. When `trace` is
+  /// non-null, intermediates are copied out (costs extra; keep null on the
+  /// hot path).
   [[nodiscard]] RecognitionResult recognize(const imaging::GrayImage& frame,
                                             RecognitionTrace* trace = nullptr) const;
 
@@ -207,6 +212,9 @@ class SaxSignRecognizer {
   RecognizerConfig config_;
   std::shared_ptr<const SignDatabase> database_;
   mutable util::StageTimers timers_;
+  /// recognize()'s buffers, kept warm across calls (same single-caller
+  /// contract as timers_).
+  mutable RecognizerScratch scratch_;
 };
 
 /// Encoder matching a RecognizerConfig (shared by DB builders and tests).

@@ -9,6 +9,7 @@
 #include "imaging/draw.hpp"
 #include "imaging/filter.hpp"
 #include "imaging/morphology.hpp"
+#include "recognition/recognizer.hpp"
 #include "signs/scene.hpp"
 #include "util/rng.hpp"
 
@@ -298,11 +299,10 @@ TEST(RemoveSmall, DespecklesBelowThreshold) {
   EXPECT_EQ(cleaned(12, 2), kBackground);
 }
 
-// Straightforward per-pixel reimplementation of the original two-pass
-// labelling (bounds-checked neighbour loop, no row-scan skipping). The
-// production version rewrote the row passes branch-light (memchr runs,
-// peeled edges, branchless mask fill); this reference pins bit-identity —
-// labels, component order AND statistics — across random rasters.
+// Straightforward per-pixel two-pass labelling (bounds-checked W/NW/N/NE
+// neighbour loop, union-find over provisional labels, per-pixel double
+// sums). The production version labels foreground runs instead; this
+// reference pins bit-identity — labels, component order AND statistics.
 Labeling reference_label(const BinaryImage& binary) {
   struct RefSet {
     std::vector<std::int32_t> parent;
@@ -387,65 +387,271 @@ Labeling reference_label(const BinaryImage& binary) {
   return out;
 }
 
-TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
+void expect_same_components(const std::vector<Component>& got,
+                            const std::vector<Component>& want,
+                            const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Component& g = got[i];
+    const Component& r = want[i];
+    EXPECT_EQ(g.label, r.label) << where << " component " << i;
+    EXPECT_EQ(g.area, r.area) << where << " component " << i;
+    EXPECT_EQ(g.min_x, r.min_x) << where << " component " << i;
+    EXPECT_EQ(g.min_y, r.min_y) << where << " component " << i;
+    EXPECT_EQ(g.max_x, r.max_x) << where << " component " << i;
+    EXPECT_EQ(g.max_y, r.max_y) << where << " component " << i;
+    // Integer run sums equal the per-pixel double sums: exact, not near.
+    EXPECT_EQ(g.centroid.x, r.centroid.x) << where << " component " << i;
+    EXPECT_EQ(g.centroid.y, r.centroid.y) << where << " component " << i;
+  }
+}
+
+/// The largest-component mask derived from the reference labelling: the
+/// largest area at or above `min_area`, the earliest label on a tie.
+BinaryImage reference_largest_mask(const BinaryImage& img, const Labeling& want,
+                                   std::size_t min_area) {
+  const Component* largest = nullptr;
+  for (const Component& comp : want.components) {
+    if (comp.area >= min_area && (largest == nullptr || comp.area > largest->area)) {
+      largest = &comp;
+    }
+  }
+  BinaryImage mask(img.width(), img.height(), kBackground);
+  if (largest == nullptr) return mask;
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      if (want.labels(x, y) == largest->label) mask(x, y) = kForeground;
+    }
+  }
+  return mask;
+}
+
+/// label_components, largest_component_mask and remove_small_components
+/// against the per-pixel reference.
+void expect_matches_reference(const BinaryImage& img, const std::string& where) {
+  const Labeling got = label_components(img);
+  const Labeling want = reference_label(img);
+  ASSERT_TRUE(got.labels == want.labels) << where;
+  expect_same_components(got.components, want.components, where);
+
+  ASSERT_TRUE(largest_component_mask(img, 3) == reference_largest_mask(img, want, 3))
+      << where;
+
+  const BinaryImage cleaned = remove_small_components(img, 4);
+  BinaryImage want_cleaned(img.width(), img.height(), kBackground);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const std::int32_t l = want.labels(x, y);
+      if (l != 0 && want.components[static_cast<std::size_t>(l - 1)].area >= 4) {
+        want_cleaned(x, y) = kForeground;
+      }
+    }
+  }
+  ASSERT_TRUE(cleaned == want_cleaned) << where;
+}
+
+BinaryImage random_raster(hdc::util::Rng& rng, int w, int h, double density) {
+  BinaryImage img(w, h, kBackground);
+  for (std::uint8_t& px : img.data()) {
+    px = rng.uniform() < density ? kForeground : kBackground;
+  }
+  return img;
+}
+
+TEST(Components, RunLabellingBitIdenticalToReferenceOnRandomRasters) {
   hdc::util::Rng rng(1234);
   for (int trial = 0; trial < 120; ++trial) {
     const int w = 1 + static_cast<int>(rng.uniform() * 70);
     const int h = 1 + static_cast<int>(rng.uniform() * 50);
     const double density = rng.uniform();  // sparse through dense
-    BinaryImage img(w, h, kBackground);
-    for (std::uint8_t& px : img.data()) {
-      px = rng.uniform() < density ? kForeground : kBackground;
-    }
+    expect_matches_reference(random_raster(rng, w, h, density),
+                             "trial " + std::to_string(trial));
+  }
+}
 
-    const Labeling got = label_components(img);
-    const Labeling want = reference_label(img);
-    ASSERT_TRUE(got.labels == want.labels) << "trial " << trial;
-    ASSERT_EQ(got.components.size(), want.components.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < got.components.size(); ++i) {
-      const Component& g = got.components[i];
-      const Component& r = want.components[i];
-      EXPECT_EQ(g.label, r.label);
-      EXPECT_EQ(g.area, r.area);
-      EXPECT_EQ(g.min_x, r.min_x);
-      EXPECT_EQ(g.min_y, r.min_y);
-      EXPECT_EQ(g.max_x, r.max_x);
-      EXPECT_EQ(g.max_y, r.max_y);
-      EXPECT_EQ(g.centroid.x, r.centroid.x);  // same summation order: exact
-      EXPECT_EQ(g.centroid.y, r.centroid.y);
+TEST(Components, RunLabellingBitIdenticalAcrossEveryWidthTo140) {
+  // Runs end inside, on and past each 8-byte word of the run-end scan;
+  // dense rasters give long runs, sparse ones short runs.
+  hdc::util::Rng rng(99);
+  for (int w = 1; w <= 140; ++w) {
+    for (const double density : {0.15, 0.6, 0.93}) {
+      const int h = 1 + static_cast<int>(rng.uniform() * 12);
+      expect_matches_reference(random_raster(rng, w, h, density),
+                               "w=" + std::to_string(w) + " density=" +
+                                   std::to_string(density));
     }
+    // One run per row, of every length up to the width, from every start
+    // in the first word.
+    BinaryImage img(w, w, kBackground);
+    for (int y = 0; y < w; ++y) {
+      const int x0 = y % 8 < w ? y % 8 : 0;
+      fill_rect(img, x0, y, std::min(w - 1, x0 + y), y, kForeground);
+    }
+    expect_matches_reference(img, "staircase w=" + std::to_string(w));
+  }
+}
 
-    // The branchless mask fill and the keep-LUT despeckle agree with a
-    // per-pixel reference over the same labelling.
-    const BinaryImage mask = largest_component_mask(img, 3);
-    const Component* largest = nullptr;
-    for (const Component& comp : want.components) {
-      if (comp.area >= 3 && (largest == nullptr || comp.area > largest->area)) {
-        largest = &comp;
-      }
-    }
-    BinaryImage want_mask(w, h, kBackground);
-    if (largest != nullptr) {
+TEST(Components, UniformAndCheckerboardRasters) {
+  for (const int w : {1, 2, 7, 8, 9, 64, 65}) {
+    for (const int h : {1, 2, 5}) {
+      const std::string where = std::to_string(w) + "x" + std::to_string(h);
+      const BinaryImage full(w, h, kForeground);
+      expect_matches_reference(full, "full " + where);
+      ASSERT_EQ(label_components(full).components.size(), 1u) << where;
+      EXPECT_EQ(label_components(full).components[0].area,
+                static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
+
+      const BinaryImage empty(w, h, kBackground);
+      expect_matches_reference(empty, "empty " + where);
+      EXPECT_TRUE(label_components(empty).components.empty()) << where;
+      EXPECT_EQ(foreground_area(largest_component_mask(empty, 1)), 0u) << where;
+
+      // Every foreground pixel touches the next row's only diagonally.
+      BinaryImage checker(w, h, kBackground);
       for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-          if (want.labels(x, y) == largest->label) want_mask(x, y) = kForeground;
-        }
+        for (int x = (y % 2); x < w; x += 2) checker(x, y) = kForeground;
       }
+      expect_matches_reference(checker, "checkerboard " + where);
+      // One row or one column: isolated pixels; otherwise one component.
+      std::size_t want_count = 1;
+      if (h == 1) want_count = static_cast<std::size_t>((w + 1) / 2);
+      if (w == 1) want_count = static_cast<std::size_t>((h + 1) / 2);
+      EXPECT_EQ(label_components(checker).components.size(), want_count)
+          << "checkerboard " << where;
     }
-    ASSERT_TRUE(mask == want_mask) << "trial " << trial;
+  }
+}
 
-    const BinaryImage cleaned = remove_small_components(img, 4);
-    BinaryImage want_cleaned(w, h, kBackground);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const std::int32_t l = want.labels(x, y);
-        if (l != 0 &&
-            want.components[static_cast<std::size_t>(l - 1)].area >= 4) {
-          want_cleaned(x, y) = kForeground;
-        }
-      }
+TEST(Components, RunsTouchingOnlyAtACornerJoin) {
+  // Row 0 holds [0,3]; row 1 starts at x=4 (touches at the corner, joins)
+  // and row 3 at x=5 under row 2's [0,3] (one-pixel gap, stays apart).
+  BinaryImage img(12, 4, kBackground);
+  fill_rect(img, 0, 0, 3, 0, kForeground);
+  fill_rect(img, 4, 1, 7, 1, kForeground);   // SE corner of row 0's run
+  fill_rect(img, 0, 2, 3, 2, kForeground);   // SW corner of row 1's run
+  fill_rect(img, 5, 3, 9, 3, kForeground);   // gap of one pixel to [0,3]
+  expect_matches_reference(img, "corner");
+  const Labeling labeling = label_components(img);
+  ASSERT_EQ(labeling.components.size(), 2u);
+  EXPECT_EQ(labeling.components[0].area, 12u);
+  EXPECT_EQ(labeling.components[1].area, 5u);
+  EXPECT_EQ(labeling.labels(0, 0), 1);
+  EXPECT_EQ(labeling.labels(4, 1), 1);
+  EXPECT_EQ(labeling.labels(0, 2), 1);
+  EXPECT_EQ(labeling.labels(5, 3), 2);
+}
+
+TEST(LargestComponent, AreaTieGoesToTheEarliestInRasterOrder) {
+  // Two 4x4 blocks. The right one starts a row earlier, so it is first in
+  // raster order and wins although the left one is leftmost.
+  BinaryImage img(20, 10, kBackground);
+  fill_rect(img, 1, 2, 4, 5, kForeground);
+  fill_rect(img, 10, 1, 13, 4, kForeground);
+  expect_matches_reference(img, "tie");
+  const BinaryImage mask = largest_component_mask(img, 1);
+  EXPECT_EQ(foreground_area(mask), 16u);
+  EXPECT_EQ(mask(10, 1), kForeground);
+  EXPECT_EQ(mask(1, 2), kBackground);
+
+  // Same row: the leftmost starts first.
+  BinaryImage row_tie(20, 10, kBackground);
+  fill_rect(row_tie, 12, 3, 15, 6, kForeground);
+  fill_rect(row_tie, 2, 3, 5, 6, kForeground);
+  expect_matches_reference(row_tie, "row tie");
+  const BinaryImage row_mask = largest_component_mask(row_tie, 1);
+  EXPECT_EQ(row_mask(2, 3), kForeground);
+  EXPECT_EQ(row_mask(12, 3), kBackground);
+}
+
+TEST(LargestComponent, ReusedArenasMatchFreshCallsAcrossSizes) {
+  // One Labeling/LabelScratch carried across shrinking and growing
+  // rasters: the mask equals a fresh call, and labeling.components equals
+  // label_components(img).components.
+  hdc::util::Rng rng(555);
+  BinaryImage mask;
+  Labeling labeling;
+  LabelScratch scratch;
+  for (const int w : {97, 5, 480, 1, 64, 33}) {
+    for (const int h : {41, 2, 360, 7}) {
+      const BinaryImage img = random_raster(rng, w, h, rng.uniform());
+      const std::string where = std::to_string(w) + "x" + std::to_string(h);
+      largest_component_mask_into(img, 2, mask, labeling, scratch);
+      ASSERT_TRUE(mask == largest_component_mask(img, 2)) << where;
+      expect_same_components(labeling.components, label_components(img).components,
+                             where);
     }
-    ASSERT_TRUE(cleaned == want_cleaned) << "trial " << trial;
+  }
+}
+
+TEST(LargestComponent, SilhouetteOfRenderedSignsMatchesReference) {
+  // The pipeline's real input: invert + Otsu + close/open over noisy,
+  // cluttered renders.
+  hdc::util::Rng rng(31);
+  signs::RenderOptions options;
+  options.noise_stddev = 14.0;
+  options.clutter_count = 6;
+  BinaryImage closed;
+  BinaryImage opened;
+  BitRaster scratch_a;
+  BitRaster scratch_b;
+  BinaryImage mask;
+  Labeling labeling;
+  LabelScratch scratch;
+  for (const signs::HumanSign sign : signs::kAllSigns) {
+    for (const double azimuth : {0.0, 35.0, 70.0, 110.0}) {
+      const GrayImage frame = signs::render_sign(sign, {3.5, 3.0, azimuth}, options, &rng);
+      const BinaryImage binary = otsu_threshold(invert(frame));
+      close_into(binary, 1, closed, scratch_a, scratch_b);
+      open_into(closed, 1, opened, scratch_a, scratch_b);
+      const std::string where = "sign " + std::to_string(static_cast<int>(sign)) +
+                                " azimuth " + std::to_string(azimuth);
+      const Labeling want = reference_label(opened);
+      largest_component_mask_into(opened, 120, mask, labeling, scratch);
+      ASSERT_TRUE(mask == reference_largest_mask(opened, want, 120)) << where;
+      EXPECT_GT(foreground_area(mask), 0u) << where;
+      expect_same_components(labeling.components, want.components, where);
+    }
+  }
+}
+
+TEST(LargestComponent, RecognizeReusingItsScratchMatchesAFreshScratch) {
+  // recognize() keeps one scratch across calls; alternating frames
+  // (different signs, an empty frame, a too-small blob) must give exactly
+  // what a fresh scratch gives.
+  using recognition::RecognitionResult;
+  using recognition::RecognizerConfig;
+  using recognition::RecognizerScratch;
+  const recognition::SaxSignRecognizer recognizer(RecognizerConfig{},
+                                                  recognition::DatabaseBuildOptions{});
+  hdc::util::Rng rng(8);
+  signs::RenderOptions options;
+  options.noise_stddev = 10.0;
+  options.clutter_count = 4;
+  std::vector<GrayImage> frames;
+  for (const signs::HumanSign sign : signs::kAllSigns) {
+    frames.push_back(signs::render_sign(sign, {3.5, 3.0, 20.0}, options, &rng));
+    frames.emplace_back(options.width, options.height, std::uint8_t{255});
+  }
+  GrayImage speck(options.width, options.height, std::uint8_t{255});
+  fill_rect(speck, 100, 100, 104, 104, std::uint8_t{0});
+  frames.push_back(speck);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const RecognitionResult got = recognizer.recognize(frames[i]);
+      RecognizerScratch fresh;
+      RecognitionResult want;
+      recognition::recognize_frame_into(recognizer.config(), recognizer.database(),
+                                        frames[i], fresh, want);
+      const std::string where = "pass " + std::to_string(pass) + " frame " +
+                                std::to_string(i);
+      EXPECT_EQ(got.accepted, want.accepted) << where;
+      EXPECT_EQ(got.sign, want.sign) << where;
+      EXPECT_EQ(got.reject_reason, want.reject_reason) << where;
+      EXPECT_EQ(got.distance, want.distance) << where;
+      EXPECT_EQ(got.margin, want.margin) << where;
+      EXPECT_EQ(got.sax_word, want.sax_word) << where;
+    }
   }
 }
 
