@@ -67,7 +67,7 @@ inline void unite(std::vector<std::int32_t>& parent, std::int32_t a, std::int32_
 void label_runs(const BinaryImage& binary, std::vector<Component>& components,
                 LabelScratch& scratch) {
   std::vector<ForegroundRun>& runs = scratch.runs;
-  std::vector<std::int32_t>& parent = scratch.parent;
+  std::vector<std::int32_t>& parent = scratch.run_label;
   runs.clear();
   parent.clear();
   const int w = binary.width();
@@ -96,24 +96,27 @@ void label_runs(const BinaryImage& binary, std::vector<Component>& components,
     prev_end = runs.size();
   }
 
-  std::vector<std::int32_t>& run_label = scratch.run_label;
+  // Every run's parent is an earlier run of its set, or itself for the
+  // set's first run, so one forward pass overwrites each parent with the
+  // run's label: a first run takes the next label, any other run its
+  // (already numbered) parent's.
+  std::vector<std::int32_t>& run_label = parent;
   std::vector<std::int64_t>& sum_x = scratch.sum_x;
   std::vector<std::int64_t>& sum_y = scratch.sum_y;
-  run_label.resize(runs.size());
   components.clear();
   sum_x.clear();
   sum_y.clear();
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const ForegroundRun& run = runs[i];
-    const std::int32_t root = find_root(parent, static_cast<std::int32_t>(i));
+    const std::int32_t up = parent[i];
     std::int32_t label;
-    if (static_cast<std::size_t>(root) == i) {
+    if (static_cast<std::size_t>(up) == i) {
       label = static_cast<std::int32_t>(components.size()) + 1;
       components.push_back(Component{label, 0, run.x0, run.y, run.x1, run.y, {}});
       sum_x.push_back(0);
       sum_y.push_back(0);
     } else {
-      label = run_label[static_cast<std::size_t>(root)];
+      label = run_label[static_cast<std::size_t>(up)];
     }
     run_label[i] = label;
     const auto slot = static_cast<std::size_t>(label - 1);

@@ -37,9 +37,10 @@ struct ForegroundRun {
 /// Reusable arenas for run-length labelling. Keep one per worker; cleared,
 /// not freed, between frames.
 struct LabelScratch {
-  std::vector<ForegroundRun> runs;      ///< every foreground run, raster order
-  std::vector<std::int32_t> parent;     ///< union-find over run indices
-  std::vector<std::int32_t> run_label;  ///< run index -> component label
+  std::vector<ForegroundRun> runs;  ///< every foreground run, raster order
+  /// Per run: its union-find parent (an earlier run of its component, or
+  /// itself) while runs are united, then its component label (1..n).
+  std::vector<std::int32_t> run_label;
   /// Per-component integer coordinate sums, indexed by label-1; the
   /// centroids divide these by the area.
   std::vector<std::int64_t> sum_x;
